@@ -556,7 +556,10 @@ class BrokerCore:
         if op == "sweep":
             return self.sweep()
         if op == "tick":
-            return self.tick(int(args["seconds"]))
+            seconds = args["seconds"]
+            if isinstance(seconds, bool) or not isinstance(seconds, int):
+                raise TypeError(f"seconds must be an integer, got {seconds!r}")
+            return self.tick(seconds)
         raise BadConfig(f"unhandled op {op}")  # unreachable
 
     def close(self):

@@ -3,9 +3,10 @@
 An enclave has two doors. The upstream door admits data from the store
 while provisioning; the gateway door serves queries once sealed. Like a
 physical man-trap, one door must be closed before the other opens, at
-every observable point. Once sealed, the enclave is a closed box: it
-holds copies, not references, and its contents never change again until
-destruction wipes them.
+every observable point. Once sealed, the enclave is a closed box: each
+segment is its own tuple of immutable row tuples holding no store
+handle, so no later change to a source table can show up in it, and its
+contents never change again until destruction wipes them.
 
     Defined -> Provisioning -> Sealed -> Serving -> Expired/Revoked -> Destroyed
 """

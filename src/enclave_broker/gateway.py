@@ -8,6 +8,7 @@ reads only the enclave's sealed segments, never the upstream store.
 
 from __future__ import annotations
 
+import hmac
 import secrets
 from dataclasses import dataclass
 
@@ -25,7 +26,8 @@ from .errors import BadToken, ContractExpired, EnclaveNotServing, ParseError, Se
 from .model import DATE, days_to_date
 from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY, AccessMonitor, MonitorEvent
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
-from .store import eval_predicate
+from .store import compile_predicate, project, scan
+from .store import eval_predicate  # noqa: F401  benches/spans.py RowCounter patches this name
 
 DENY_UNKNOWN_TABLE = "UnknownTable"
 DENY_COLUMN_OUT_OF_SCOPE = "ColumnOutOfScope"
@@ -79,10 +81,15 @@ class QueryResult:
     truncated: bool
 
     def to_json(self) -> dict:
-        rows = [
-            [days_to_date(cell) if t == DATE else cell for cell, t in zip(row, self.column_types)]
-            for row in self.rows
-        ]
+        """Wire form; DATE cells become ISO strings, other rows go out as
+        tuples, which JSON encodes as arrays."""
+        dates = [i for i, t in enumerate(self.column_types) if t == DATE]
+        rows = self.rows
+        if dates:
+            rows = [list(row) for row in rows]
+            for row in rows:
+                for i in dates:
+                    row[i] = days_to_date(row[i])
         return {"columns": list(self.columns), "rows": rows, "truncated": self.truncated}
 
 
@@ -149,7 +156,9 @@ class QueryGateway:
     ) -> Session:
         if enclave.state != SERVING:
             raise EnclaveNotServing(f"enclave {enclave.enclave_id} is {enclave.state}")
-        if expected_token is None or presented_token != expected_token:
+        if expected_token is None or not hmac.compare_digest(
+            presented_token.encode("utf-8"), expected_token.encode("utf-8")
+        ):
             raise BadToken("token does not match the contract principal's credential")
         if not is_live(contract, now):
             raise ContractExpired(f"contract {contract.contract_id} is not live")
@@ -256,16 +265,18 @@ class QueryGateway:
         out_cols = segment.columns if ast.columns is None else ast.columns
         assert set(out_cols) <= set(segment.columns)
         schema = tuple(zip(segment.columns, segment.column_types))
-        matched = [row for row in segment.rows if eval_predicate(row, schema, ast.predicate)]
-        limit = len(matched)
-        if ast.limit is not None:
-            limit = min(limit, ast.limit)
-        if grant.row_limit is not None:
-            limit = min(limit, grant.row_limit)
-        truncated = limit < len(matched)
+        caps = [n for n in (ast.limit, grant.row_limit) if n is not None]
+        cap = min(caps) if caps else None
+        # One match past the cap is enough to know the result was cut.
+        matched = scan(
+            segment.rows, compile_predicate(schema, ast.predicate), None if cap is None else cap + 1
+        )
+        truncated = cap is not None and len(matched) > cap
+        if truncated:
+            del matched[cap:]
         picks = [seg_cols[c] for c in out_cols]
         types = tuple(segment.column_types[i] for i in picks)
-        rows = tuple(tuple(row[i] for i in picks) for row in matched[:limit])
+        rows = project(picks, len(segment.columns))(matched)
         return QueryResult(tuple(out_cols), types, rows, truncated), ALLOW
 
     def _report(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import TypeMismatch
@@ -91,22 +90,6 @@ def literal_matches(kind: str, column_type: str) -> bool:
 
 
 OPS = ("=", "!=", "<", "<=", ">", ">=")
-
-_OP_FUNCS = {
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
-def compare(cell, op: str, value) -> bool:
-    """Evaluate one comparison; cross-family comparisons are false."""
-    if isinstance(cell, str) != isinstance(value, str):
-        return False
-    return _OP_FUNCS[op](cell, value)
 
 
 @dataclass(frozen=True)

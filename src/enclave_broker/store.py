@@ -1,24 +1,29 @@
-"""Source-of-truth tables and contract-scoped segment extraction.
+"""Source-of-truth tables, contract-scoped segment extraction, and the
+one scan path that both extraction and the gateway run.
 
 The store is the only component that ever sees full tables. Everything
-downstream works on Segments: filtered, projected, point-in-time copies
-cut to exactly what one grant allows.
+downstream works on Segments: filtered, projected, point-in-time
+snapshots cut to exactly what one grant allows.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .contracts import Grant
 from .errors import BadConfig, DuplicateTable, StateError, TypeMismatch, UnknownSource
 from .model import (
     COLUMN_TYPES,
     DATE,
+    TEXT,
     Predicate,
     SchemaCatalog,
     check_cell,
-    compare,
     date_to_days,
 )
 
@@ -34,9 +39,9 @@ class Table:
 class Segment:
     """A snapshot slice of one table, scoped by one grant.
 
-    Rows are copies: later changes to the source table never show up
-    here, and the segment carries everything the gateway needs so no
-    store handle has to survive past provisioning.
+    The segment is its own tuple of immutable row tuples and holds no
+    store handle, so no later change to the source table can show up
+    in it; it carries everything the gateway needs after provisioning.
     """
 
     origin: str  # qualified source table name
@@ -46,17 +51,82 @@ class Segment:
     extracted_at: int
 
 
+Matcher = Callable[[tuple], bool]
+
+# Python spelling of each query operator, for the compiled matcher.
+_SYMBOLS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+def _match_nothing(row: tuple) -> bool:
+    return False
+
+
+def compile_predicate(schema: tuple[tuple[str, str], ...], p: Predicate | None) -> Matcher | None:
+    """Compile `p` against rows laid out by `schema`; None matches every row.
+
+    Column indexes and operators are resolved here, once. Cells are
+    type-checked at load, so the column type fixes each cell's value
+    family: a comparison across families (TEXT against a number) or on a
+    column the schema lacks can never hold, and the whole predicate
+    becomes a matcher that rejects every row without reading any.
+
+    The matcher is one lambda testing every conjunct inline, so a scan
+    makes one Python call per row. Its source holds only column indexes
+    and symbols from `_SYMBOLS`; literal values are passed in as
+    arguments and never become source text.
+    """
+    if p is None or not p.conjuncts:
+        return None
+    index = {col: (i, typ) for i, (col, typ) in enumerate(schema)}
+    terms, values = [], []
+    for k, comp in enumerate(p.conjuncts):
+        if comp.column not in index:
+            return _match_nothing
+        i, typ = index[comp.column]
+        value = comp.literal.value
+        if (typ == TEXT) != isinstance(value, str):
+            return _match_nothing
+        terms.append(f"row[{i}] {_SYMBOLS[comp.op]} v{k}")
+        values.append(value)
+    names = ", ".join(f"v{k}" for k in range(len(values)))
+    return _matcher_factory(f"lambda {names}: lambda row: {' and '.join(terms)}")(*values)
+
+
+@lru_cache(maxsize=1024)
+def _matcher_factory(source: str) -> Callable[..., Matcher]:
+    """Compile a matcher's source once per predicate shape (columns and
+    operators); the shape's literal values are bound on each call."""
+    return eval(source, {"__builtins__": {}})
+
+
 def eval_predicate(row: tuple, schema: tuple[tuple[str, str], ...], p: Predicate | None) -> bool:
     """Does `row` (laid out by `schema`) satisfy every conjunct of `p`?"""
-    if p is None:
-        return True
-    index = {col: i for i, (col, _) in enumerate(schema)}
-    for comp in p.conjuncts:
-        if comp.column not in index:
-            return False
-        if not compare(row[index[comp.column]], comp.op, comp.literal.value):
-            return False
-    return True
+    match = compile_predicate(schema, p)
+    return match is None or match(row)
+
+
+def scan(rows: Iterable[tuple], match: Matcher | None, limit: int | None = None) -> list[tuple]:
+    """The rows that `match` accepts, in order, stopping after `limit` of them."""
+    if match is _match_nothing:
+        return []
+    hits = rows if match is None else filter(match, rows)
+    return list(hits if limit is None else islice(hits, limit))
+
+
+def project(picks: list[int], width: int) -> Callable[[list[tuple]], tuple[tuple, ...]]:
+    """A function that cuts rows of `width` cells down to the `picks` columns.
+
+    Rows are immutable tuples, so when `picks` keeps every column in
+    order they pass through unchanged instead of being rebuilt.
+    """
+    if picks == list(range(width)):
+        return tuple
+    get = itemgetter(*picks)
+    if len(picks) == 1:
+        # A one-column itemgetter returns the bare cell; zip over one
+        # iterable wraps each cell back into a 1-tuple.
+        return lambda rows: tuple(zip(map(get, rows)))
+    return lambda rows: tuple(map(get, rows))
 
 
 class TableStore:
@@ -122,7 +192,7 @@ class TableStore:
         return SchemaCatalog({name: t.schema for name, t in self._tables.items()})
 
     def extract_segment(self, name: str, g: Grant, now: int) -> Segment:
-        """Filter by the grant predicate, project to the granted columns, copy.
+        """Filter by the grant predicate, project to the granted columns.
 
         Row order follows the source table. The grant must already have
         been validated against this store's catalog.
@@ -140,11 +210,8 @@ class TableStore:
                 raise StateError(f"grant names column {col!r} absent from {name}; validate first")
         picks = [index[col] for col in wanted]
         types = [schema[i][1] for i in picks]
-        rows = tuple(
-            tuple(row[i] for i in picks)
-            for row in table.rows
-            if eval_predicate(row, schema, g.row_predicate)
-        )
+        matched = scan(table.rows, compile_predicate(schema, g.row_predicate))
+        rows = project(picks, len(schema))(matched)
         return Segment(
             origin=name,
             columns=tuple(wanted),

@@ -181,6 +181,13 @@ def test_tick_requires_logical_clock():
         BrokerCore(BrokerConfig(clock_mode="Sundial"))
 
 
+def test_tick_takes_only_whole_integers():
+    core = make_core()
+    for seconds in ("5", True, 5.9, None):
+        assert err_code(call(core, "tick", {"seconds": seconds})) == "BadRequest"
+    assert ok(core, "tick", {"seconds": 0}) == {"now": 0}
+
+
 def test_expiry_is_lazy_and_sweep_settles_it():
     core = make_core()
     token, enclave_id, session_id = standard_session(core)

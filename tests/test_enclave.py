@@ -229,7 +229,7 @@ def test_sealed_enclave_holds_no_store_reference():
     store = orders_store()
     e, _, _ = serving(store)
     # Structural check: nothing reachable from the enclave is the store
-    # or one of its tables; segments are value copies.
+    # or one of its tables; segments hold only immutable row tuples.
     seen = set()
     stack = [e]
     tables = {id(t) for t in store._tables.values()}

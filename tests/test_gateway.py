@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from enclave_broker.audit import AuditLedger
@@ -26,8 +28,9 @@ from enclave_broker.gateway import ALLOW, DenialError, QueryGateway, authorize, 
 from enclave_broker.model import Comparison, Literal, Predicate
 from enclave_broker.monitor import AccessMonitor
 from enclave_broker.query import parse_query
+from enclave_broker.store import TableStore
 
-from conftest import orders_store
+from conftest import ORDERS_SCHEMA, orders_store
 from test_contracts import draft
 
 TOKEN = "tok-alpha"
@@ -191,6 +194,34 @@ def test_limit_truncates_and_flags():
     result = gw.execute(s, e, c, "SELECT order_id FROM orders LIMIT 1", 0)
     assert len(result.rows) == 1
     assert result.truncated
+    # Exactly LIMIT matches is a whole result, not a truncated one.
+    result = gw.execute(s, e, c, "SELECT order_id FROM orders LIMIT 2", 0)
+    assert result.rows == ((2,), (3,))
+    assert not result.truncated
+
+
+class _CountingRows(tuple):
+    """Segment rows that count how many of them a scan reads."""
+
+    def __iter__(self):
+        self.seen = 0
+        for row in tuple.__iter__(self):
+            self.seen += 1
+            yield row
+
+
+def test_limited_select_stops_after_limit_plus_one_matches():
+    store = TableStore()
+    rows = [(i, "acme", i, 20000 + i) for i in range(50)]
+    store.register_table("warehouse.orders", ORDERS_SCHEMA, rows)
+    c = activate(draft(grants=(Grant("warehouse.orders", None),)), 0)
+    gw, e, _, _ = rig(c=c, store=store)
+    e.segments[0] = replace(e.segments[0], rows=_CountingRows(e.segments[0].rows))
+    s = gw.open_session(e, c, TOKEN, TOKEN, 0)
+    result = gw.execute(s, e, c, "SELECT order_id FROM orders WHERE amount >= 0 LIMIT 5", 0)
+    assert result.rows == tuple((i,) for i in range(5))
+    assert result.truncated
+    assert e.segments[0].rows.seen <= 6
 
 
 def test_grant_row_limit_caps_every_query():
@@ -205,6 +236,7 @@ def test_grant_row_limit_caps_every_query():
     assert len(result.rows) == 1
     result = gw.execute(s, e, c, "SELECT * FROM orders LIMIT 100", 0)
     assert len(result.rows) == 2
+    assert result.truncated
 
 
 def test_denials_raise_and_carry_codes():

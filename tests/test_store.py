@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
-from enclave_broker.model import Comparison, Literal, Predicate, date_to_days
-from enclave_broker.store import TableStore, eval_predicate, load_table_csv
+from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
+from enclave_broker.store import (
+    TableStore,
+    compile_predicate,
+    eval_predicate,
+    load_table_csv,
+    scan,
+)
 
 from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, orders_store
 
@@ -56,6 +62,13 @@ def test_cross_family_comparison_is_false_not_error():
     assert not eval_predicate(ORDERS_ROWS[0], ORDERS_SCHEMA, p)
     q = Predicate((Comparison("amount", "=", Literal.text("100")),))
     assert not eval_predicate(ORDERS_ROWS[0], ORDERS_SCHEMA, q)
+
+
+def test_literals_compare_as_values_never_as_code():
+    for text in ('acme" or True or "', "acme' or True or '", "v0 or True", "acme"):
+        p = Predicate((Comparison("customer", "=", Literal.text(text)),))
+        hits = [row for row in ORDERS_ROWS if eval_predicate(row, ORDERS_SCHEMA, p)]
+        assert hits == [row for row in ORDERS_ROWS if row[1] == text]
 
 
 def test_extract_fixture_segment():
@@ -146,44 +159,50 @@ def test_load_csv_bad_cells(tmp_path):
         load_table_csv(TableStore(), "ns.bad2", path)
 
 
-# ---- extraction equals the brute-force oracle ----
+# ---- extraction and the compiled scan equal the brute-force oracle ----
 
-_COLS = ("w", "x", "y", "z")
-_TYPES = ("INT", "TEXT", "INT", "DATE")
+_COLS = ("w", "x", "y", "z", "r")
+_TYPES = ("INT", "TEXT", "INT", "DATE", "REAL")
+_SCHEMA = tuple(zip(_COLS, _TYPES))
+_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 _rows = st.lists(
     st.tuples(
-        st.integers(-50, 50),
+        st.integers(-5, 5),
         st.sampled_from(("red", "green", "blue", "")),
-        st.integers(0, 1000),
-        st.integers(19000, 20500),  # day counts, ~2022..2026
+        st.integers(0, 20),
+        st.integers(19000, 19010),  # day counts in January 2022
+        st.sampled_from((-1.5, 0.0, 2.0, 3.25)),
     ),
     max_size=60,
 )
 _col_subsets = st.one_of(
     st.none(),
-    st.lists(st.sampled_from(_COLS), min_size=1, max_size=4, unique=True).map(tuple),
+    st.lists(st.sampled_from(_COLS), min_size=1, max_size=len(_COLS), unique=True).map(tuple),
+)
+
+
+def _comparison(columns, literals):
+    return st.builds(
+        Comparison, column=st.sampled_from(columns), op=st.sampled_from(_OPS), literal=literals
+    )
+
+
+# Literal ranges overlap the cell ranges, so boundaries (= against <=) get hit.
+_int_literals = st.integers(-7, 22).map(Literal.integer)
+_text_literals = st.sampled_from(("red", "green", "mauve", "", "50")).map(Literal.text)
+_comparisons = st.one_of(
+    _comparison(("w", "y", "r"), _int_literals),  # INT literals on INT and REAL columns
+    _comparison(("r",), st.sampled_from((-1.5, 0.0, 2.5, 3.25)).map(Literal.real)),
+    _comparison(("x",), _text_literals),
+    _comparison(("z",), st.integers(18998, 19012).map(lambda d: Literal.date(days_to_date(d)))),
+    _comparison(("w", "y", "z", "r"), _text_literals),  # text on numeric columns
+    _comparison(("x",), _int_literals),  # a number on a TEXT column
+    _comparison(("absent",), _int_literals),  # a column the schema lacks
 )
 _preds = st.one_of(
     st.none(),
-    st.lists(
-        st.one_of(
-            st.builds(
-                Comparison,
-                column=st.sampled_from(("w", "y")),
-                op=st.sampled_from(("=", "!=", "<", "<=", ">", ">=")),
-                literal=st.integers(-60, 1100).map(Literal.integer),
-            ),
-            st.builds(
-                Comparison,
-                column=st.just("x"),
-                op=st.sampled_from(("=", "!=")),
-                literal=st.sampled_from(("red", "green", "mauve")).map(Literal.text),
-            ),
-        ),
-        min_size=1,
-        max_size=3,
-    ).map(lambda cs: Predicate(tuple(cs))),
+    st.lists(_comparisons, min_size=1, max_size=4).map(lambda cs: Predicate(tuple(cs))),
 )
 
 
@@ -201,6 +220,8 @@ def _oracle_match(row, pred):
         ">=": lambda a, b: a >= b,
     }
     for comp in pred.conjuncts:
+        if comp.column not in pos:
+            return False
         cell = row[pos[comp.column]]
         want = comp.literal.value
         if isinstance(cell, str) != isinstance(want, str):
@@ -213,7 +234,7 @@ def _oracle_match(row, pred):
 @given(_rows, _col_subsets, _preds)
 def test_extract_segment_matches_oracle(rows, columns, pred):
     store = TableStore()
-    store.register_table("ns.t", tuple(zip(_COLS, _TYPES)), rows)
+    store.register_table("ns.t", _SCHEMA, rows)
     g = Grant("ns.t", columns, pred)
     seg = store.extract_segment("ns.t", g, 0)
 
@@ -225,3 +246,26 @@ def test_extract_segment_matches_oracle(rows, columns, pred):
     assert seg.rows == expected
     assert seg.columns == tuple(wanted)
     assert set(seg.columns) <= set(_COLS)
+
+
+@given(_rows, _preds, st.one_of(st.none(), st.integers(0, 70)))
+def test_compiled_scan_matches_oracle(rows, pred, limit):
+    match = compile_predicate(_SCHEMA, pred)
+    expected = [row for row in rows if _oracle_match(row, pred)]
+    assert scan(rows, match, limit) == expected[:limit]
+    for row in rows:
+        assert eval_predicate(row, _SCHEMA, pred) == _oracle_match(row, pred)
+
+
+def test_impossible_predicate_reads_no_rows():
+    class Unreadable:
+        def __iter__(self):
+            raise AssertionError("scan read a row")
+
+    for comp in (
+        Comparison("x", "=", Literal.integer(1)),
+        Comparison("w", "!=", Literal.text("red")),
+        Comparison("absent", ">", Literal.integer(0)),
+    ):
+        pred = Predicate((Comparison("w", ">", Literal.integer(0)), comp))
+        assert scan(Unreadable(), compile_predicate(_SCHEMA, pred), None) == []
