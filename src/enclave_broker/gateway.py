@@ -81,15 +81,19 @@ class QueryResult:
     truncated: bool
 
     def to_json(self) -> dict:
-        """Wire form; DATE cells become ISO strings, other rows go out as
-        tuples, which JSON encodes as arrays."""
+        """Wire form. "rows" is always a tuple of row tuples, which JSON
+        encodes as arrays; DATE cells become ISO strings, and results
+        with no DATE column pass their rows through unchanged."""
         dates = [i for i, t in enumerate(self.column_types) if t == DATE]
         rows = self.rows
         if dates:
-            rows = [list(row) for row in rows]
+            converted = []
             for row in rows:
+                cells = list(row)
                 for i in dates:
-                    row[i] = days_to_date(row[i])
+                    cells[i] = days_to_date(cells[i])
+                converted.append(tuple(cells))
+            rows = tuple(converted)
         return {"columns": list(self.columns), "rows": rows, "truncated": self.truncated}
 
 
@@ -156,8 +160,10 @@ class QueryGateway:
     ) -> Session:
         if enclave.state != SERVING:
             raise EnclaveNotServing(f"enclave {enclave.enclave_id} is {enclave.state}")
+        # surrogatepass: a JSON string may hold a lone surrogate, which
+        # must be a wrong token rather than an encoding error.
         if expected_token is None or not hmac.compare_digest(
-            presented_token.encode("utf-8"), expected_token.encode("utf-8")
+            presented_token.encode("utf-8", "surrogatepass"), expected_token.encode("utf-8")
         ):
             raise BadToken("token does not match the contract principal's credential")
         if not is_live(contract, now):

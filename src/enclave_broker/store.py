@@ -9,10 +9,9 @@ snapshots cut to exactly what one grant allows.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from .contracts import Grant
@@ -53,8 +52,15 @@ class Segment:
 
 Matcher = Callable[[tuple], bool]
 
-# Python spelling of each query operator, for the compiled matcher.
-_SYMBOLS = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+# Each query operator as a function of (cell, literal).
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 def _match_nothing(row: tuple) -> bool:
@@ -64,39 +70,37 @@ def _match_nothing(row: tuple) -> bool:
 def compile_predicate(schema: tuple[tuple[str, str], ...], p: Predicate | None) -> Matcher | None:
     """Compile `p` against rows laid out by `schema`; None matches every row.
 
-    Column indexes and operators are resolved here, once. Cells are
+    Column indexes and operators are resolved here, once, into one
+    (index, operator function, literal) term per conjunct. Cells are
     type-checked at load, so the column type fixes each cell's value
     family: a comparison across families (TEXT against a number) or on a
     column the schema lacks can never hold, and the whole predicate
     becomes a matcher that rejects every row without reading any.
-
-    The matcher is one lambda testing every conjunct inline, so a scan
-    makes one Python call per row. Its source holds only column indexes
-    and symbols from `_SYMBOLS`; literal values are passed in as
-    arguments and never become source text.
     """
     if p is None or not p.conjuncts:
         return None
     index = {col: (i, typ) for i, (col, typ) in enumerate(schema)}
-    terms, values = [], []
-    for k, comp in enumerate(p.conjuncts):
+    terms = []
+    for comp in p.conjuncts:
         if comp.column not in index:
             return _match_nothing
         i, typ = index[comp.column]
         value = comp.literal.value
         if (typ == TEXT) != isinstance(value, str):
             return _match_nothing
-        terms.append(f"row[{i}] {_SYMBOLS[comp.op]} v{k}")
-        values.append(value)
-    names = ", ".join(f"v{k}" for k in range(len(values)))
-    return _matcher_factory(f"lambda {names}: lambda row: {' and '.join(terms)}")(*values)
+        terms.append((i, _OPS[comp.op], value))
+    if len(terms) == 1:
+        # A scan calls the matcher once per row; one term needs no loop.
+        ((i, op, value),) = terms
+        return lambda row: op(row[i], value)
 
+    def match(row: tuple) -> bool:
+        for i, op, value in terms:
+            if not op(row[i], value):
+                return False
+        return True
 
-@lru_cache(maxsize=1024)
-def _matcher_factory(source: str) -> Callable[..., Matcher]:
-    """Compile a matcher's source once per predicate shape (columns and
-    operators); the shape's literal values are bound on each call."""
-    return eval(source, {"__builtins__": {}})
+    return match
 
 
 def eval_predicate(row: tuple, schema: tuple[tuple[str, str], ...], p: Predicate | None) -> bool:
@@ -121,7 +125,7 @@ def project(picks: list[int], width: int) -> Callable[[list[tuple]], tuple[tuple
     """
     if picks == list(range(width)):
         return tuple
-    get = itemgetter(*picks)
+    get = operator.itemgetter(*picks)
     if len(picks) == 1:
         # A one-column itemgetter returns the bare cell; zip over one
         # iterable wraps each cell back into a 1-tuple.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -185,8 +186,17 @@ def test_select_filters_and_projects_segment():
 def test_dates_render_as_iso_in_json():
     gw, e, c, s = open_rig()
     out = gw.execute(s, e, c, "SELECT created_at FROM orders LIMIT 1", 0).to_json()
-    assert out["rows"] == [["2025-01-15"]]
+    assert out["rows"] == (("2025-01-15",),)
+    assert json.dumps(out["rows"]) == '[["2025-01-15"]]'
     assert out["truncated"] is True
+
+
+def test_json_rows_are_row_tuples_with_or_without_dates():
+    gw, e, c, s = open_rig()
+    for text in ("SELECT order_id FROM orders", "SELECT order_id, created_at FROM orders"):
+        rows = gw.execute(s, e, c, text, 0).to_json()["rows"]
+        assert type(rows) is tuple
+        assert all(type(row) is tuple for row in rows)
 
 
 def test_limit_truncates_and_flags():

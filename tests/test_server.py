@@ -96,6 +96,17 @@ def test_full_flow_over_one_connection(server):
         assert conn.call("close_session", {"session_id": session_id})["ok"]
 
 
+def test_token_with_lone_surrogate_is_a_bad_token(server):
+    with Conn(server.endpoint) as conn:
+        assert conn.call("submit_contract", {"text": C1_TEXT})["ok"]
+        assert conn.call("activate_contract", {"contract_id": "c1"})["ok"]
+        enclave_id = conn.call("broker_enclave", {"contract_id": "c1"})["result"]["enclave_id"]
+        # json.dumps escapes the lone surrogate as \ud800, which json.loads accepts.
+        opened = conn.call("open_session", {"enclave_id": enclave_id, "token": "tok\ud800"})
+        assert opened["ok"] is False
+        assert opened["error"]["code"] == "BadToken"
+
+
 def test_connections_share_one_broker(server):
     with Conn(server.endpoint) as a, Conn(server.endpoint) as b:
         assert a.call("submit_contract", {"text": C1_TEXT})["ok"]

@@ -64,13 +64,6 @@ def test_cross_family_comparison_is_false_not_error():
     assert not eval_predicate(ORDERS_ROWS[0], ORDERS_SCHEMA, q)
 
 
-def test_literals_compare_as_values_never_as_code():
-    for text in ('acme" or True or "', "acme' or True or '", "v0 or True", "acme"):
-        p = Predicate((Comparison("customer", "=", Literal.text(text)),))
-        hits = [row for row in ORDERS_ROWS if eval_predicate(row, ORDERS_SCHEMA, p)]
-        assert hits == [row for row in ORDERS_ROWS if row[1] == text]
-
-
 def test_extract_fixture_segment():
     store = orders_store()
     g = Grant(
