@@ -7,7 +7,12 @@ answers who accessed what, when, and under which contract, and it can
 prove nobody rewrote the answer.
 
 Persistence is JSON-Lines: one canonically encoded event per line.
-Verification works on the raw file, trusting nothing in memory.
+Verification works on the raw file. The only thing it trusts is a
+SHA-256 digest it computed itself, in this process, over the part of the
+file it already checked: if those bytes still hash to that digest, they
+are the bytes that were checked, and only the lines after them are
+parsed and rehashed. The digest is never written to disk, where anyone
+who can write the data dir could forge it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from .canonical import canonical_bytes, canonical_json
 from .errors import StorageFailure
 
 GENESIS = "0" * 64
+# Bytes per read when rehashing the verified prefix. 1 MiB reads hash no
+# faster, and under glibc malloc they left the broker about 2 MB more
+# peak RSS (10k-event ledger); 64 KiB reads left none.
+_CHUNK = 1 << 16
 
 CONTRACT_SUBMITTED = "ContractSubmitted"
 CONTRACT_ACTIVATED = "ContractActivated"
@@ -88,6 +97,10 @@ def compute_hash(seq: int, timestamp: int, actor: str, kind: str, payload: dict,
         "payload": payload,
         "prev_hash": prev_hash,
     }
+    return _body_hash(body)
+
+
+def _body_hash(body: dict) -> str:
     return hashlib.sha256(canonical_bytes(body)).hexdigest()
 
 
@@ -99,6 +112,7 @@ class AuditLedger:
         self._events: list[AuditEvent] = []
         self._path = path
         self._fh = None
+        self._memo = _START  # where the last verify of the file left off
         if path is not None:
             if os.path.exists(path):
                 self._events = _load_events(path)
@@ -133,6 +147,20 @@ class AuditLedger:
         self._events.append(event)
         return event
 
+    def verify(self) -> int | None:
+        """Recheck the chain; returns the first bad seq, or None if intact.
+
+        With a file, the answer is always `verify_file(path)`'s. The file
+        is re-read from byte 0 on every call, but the bytes an earlier
+        call already checked are only rehashed against its digest;
+        parsing resumes where that call stopped.
+        """
+        if self._path is None:
+            return verify_events(self._events)
+        with open(self._path, "rb") as fh:
+            bad, self._memo = _verify_lines(fh, self._memo)
+        return bad
+
     def query_log(self, kind=None, actor=None, contract_id=None, since=None, until=None):
         """Filtered scan; time bounds are half-open [since, until)."""
         out = []
@@ -157,6 +185,7 @@ class AuditLedger:
 
 
 _FIELDS = ("seq", "timestamp", "actor", "kind", "payload", "prev_hash", "hash")
+_BODY = _FIELDS[:-1]
 
 
 def _check_line(obj, position: int, prev_hash: str) -> str | None:
@@ -169,10 +198,7 @@ def _check_line(obj, position: int, prev_hash: str) -> str | None:
         return None
     if not isinstance(obj["payload"], dict):
         return None
-    expected = compute_hash(
-        obj["seq"], obj["timestamp"], obj["actor"], obj["kind"], obj["payload"], obj["prev_hash"]
-    )
-    if obj["hash"] != expected:
+    if obj["hash"] != _body_hash({f: obj[f] for f in _BODY}):
         return None
     return obj["hash"]
 
@@ -188,25 +214,76 @@ def verify_events(events) -> int | None:
     return None
 
 
+@dataclass(frozen=True)
+class _Memo:
+    """Where a verify of the file left off: bytes [0, offset) hash to
+    `digest` and end with a newline, and the line at `offset` must carry
+    seq `seq` and chain from `prev`."""
+
+    offset: int
+    digest: bytes
+    seq: int
+    prev: str
+
+
+_START = _Memo(0, hashlib.sha256().digest(), 0, GENESIS)
+
+
+def _resume(fh, memo: _Memo):
+    """Hash the first `memo.offset` bytes of `fh`; returns the running
+    hash, and `memo` if they hash to its digest, else `_START` with `fh`
+    back at byte 0."""
+    h = hashlib.sha256()
+    left = memo.offset
+    while left:
+        chunk = fh.read(min(_CHUNK, left))
+        if not chunk:
+            break
+        h.update(chunk)
+        left -= len(chunk)
+    if left == 0 and h.digest() == memo.digest:
+        return h, memo
+    fh.seek(0)
+    return hashlib.sha256(), _START
+
+
+def _verify_lines(fh, memo: _Memo) -> tuple[int | None, _Memo]:
+    """The one line-checking loop. Checks `fh` from the end of the prefix
+    `memo` vouches for (from byte 0 if it no longer does); returns the
+    first bad seq or None, and the memo of the good lines read so far.
+
+    Any line that fails to decode, parse, or chain is bad.
+    """
+    h, memo = _resume(fh, memo)
+    offset, position, prev = memo.offset, memo.seq, memo.prev
+    bad = None
+    for raw in fh:
+        try:
+            obj = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            bad = position
+            break
+        chained = _check_line(obj, position, prev)
+        if chained is None:
+            bad = position
+            break
+        if not raw.endswith(b"\n"):
+            break  # a good last line with no newline: an append would extend it
+        h.update(raw)
+        offset += len(raw)
+        position += 1
+        prev = chained
+    return bad, _Memo(offset, h.digest(), position, prev)
+
+
 def verify_file(path) -> int | None:
     """Verify the persisted log byte-for-byte from disk.
 
     Any line that fails to decode, parse, or chain marks the first bad
     sequence number. Returns None when the whole file checks out.
     """
-    prev = GENESIS
-    position = 0
     with open(path, "rb") as fh:
-        for raw in fh:
-            try:
-                obj = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                return position
-            prev = _check_line(obj, position, prev)
-            if prev is None:
-                return position
-            position += 1
-    return None
+        return _verify_lines(fh, _START)[0]
 
 
 def _load_events(path) -> list[AuditEvent]:

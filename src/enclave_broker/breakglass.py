@@ -96,13 +96,16 @@ class BreakGlassService:
     def approve(self, request_id: str, approver: str, now: int) -> tuple[BreakGlassRequest, bool]:
         """Record one approval; returns (request, quorum_just_reached).
 
-        The requester can never be an approver, and each approver counts
-        once. Crossing the quorum flips nothing here by itself; the
-        broker performs the activation in the same atomic step.
+        Only registered accounts approve, the requester can never be an
+        approver, and each approver counts once. Crossing the quorum flips
+        nothing here by itself; the broker performs the activation in the
+        same atomic step.
         """
         req = self._get(request_id)
         if req.status != PENDING:
             raise StateError(f"request {request_id} is {req.status}")
+        if approver not in self.accounts:
+            raise UnknownAccount(f"no break-glass account {approver!r}")
         if approver == req.account_id:
             raise SelfApproval("requester cannot approve their own request")
         if approver in req.approvals:

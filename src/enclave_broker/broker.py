@@ -48,7 +48,6 @@ OPS = (
     "submit_contract",
     "activate_contract",
     "revoke_contract",
-    "create_enclave",
     "broker_enclave",
     "open_session",
     "query",
@@ -261,13 +260,6 @@ class BrokerCore:
 
     # ---------------- enclave ops ----------------
 
-    def create_enclave(self, contract_id: str) -> dict:
-        c = self._contract(contract_id)
-        e = enclave_mod.create_enclave(c, self.clock.now())
-        self.enclaves[e.enclave_id] = e
-        self._audit_transition(e)
-        return {"enclave_id": e.enclave_id, "state": e.state}
-
     def broker_enclave(self, contract_id: str) -> dict:
         """The composed happy path: define, provision, seal, open the gate."""
         c = self._contract(contract_id)
@@ -319,10 +311,7 @@ class BrokerCore:
         return {"events": [e.to_json() for e in self.ledger.events()]}
 
     def audit_verify(self) -> dict:
-        if self.ledger.path is not None:
-            bad = audit_mod.verify_file(self.ledger.path)
-        else:
-            bad = audit_mod.verify_events(self.ledger.events())
+        bad = self.ledger.verify()
         if bad is None:
             return {"verified": True, "events": len(self.ledger)}
         return {"verified": False, "first_bad_seq": bad, "events": len(self.ledger)}
@@ -522,8 +511,6 @@ class BrokerCore:
             return self.activate_contract(args["contract_id"])
         if op == "revoke_contract":
             return self.revoke_contract(args["contract_id"], args.get("reason", ""))
-        if op == "create_enclave":
-            return self.create_enclave(args["contract_id"])
         if op == "broker_enclave":
             return self.broker_enclave(args["contract_id"])
         if op == "open_session":

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from enclave_broker import audit
 from enclave_broker.audit import (
     GENESIS,
     KINDS,
@@ -153,6 +158,113 @@ def test_garbage_line_detected(tmp_path):
     data[3] = b'\xff\xfe broken utf8"'
     path.write_bytes(b"\n".join(data) + b"\n")
     assert verify_file(path) == 3
+
+
+def _next_line(ledger: AuditLedger, payload: dict) -> bytes:
+    """The line the ledger's next append would write, without its newline."""
+    seq, prev = len(ledger), ledger.last_hash()
+    digest = compute_hash(seq, seq, "late", KINDS[0], payload, prev)
+    event = {
+        "seq": seq,
+        "timestamp": seq,
+        "actor": "late",
+        "kind": KINDS[0],
+        "payload": payload,
+        "prev_hash": prev,
+        "hash": digest,
+    }
+    return canonical_json(event).encode("utf-8")
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("insert"), st.floats(0, 1), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.just("garbage"), st.binary(max_size=20).filter(lambda b: b"\n" not in b)),
+    st.tuples(st.just("append"), st.integers(1, 4)),
+    st.tuples(st.just("torn"), st.just(1.0) | st.floats(0, 1, exclude_min=True)),
+)
+
+
+def _mutate(ledger: AuditLedger, path: Path, mutation) -> None:
+    kind, *arg = mutation
+    data = path.read_bytes()
+    if kind == "flip":
+        if not data:
+            return
+        pos = int(arg[0] * len(data))
+        path.write_bytes(data[:pos] + bytes([data[pos] ^ (1 << arg[1])]) + data[pos + 1 :])
+    elif kind == "truncate":
+        path.write_bytes(data[: int(arg[0] * len(data))])
+    elif kind == "insert":
+        pos = int(arg[0] * len(data))
+        path.write_bytes(data[:pos] + arg[1] + data[pos:])
+    elif kind == "garbage":
+        path.write_bytes(data + arg[0] + b"\n")
+    elif kind == "append":
+        fill(ledger, arg[0])
+    else:  # torn: some or all of a valid next line, with no newline
+        line = _next_line(ledger, {"torn": True})
+        path.write_bytes(data + line[: max(1, int(arg[0] * len(line)))])
+
+
+@given(
+    n=st.integers(1, 8),
+    mutations=st.lists(_MUTATIONS, min_size=1, max_size=3),
+)
+def test_memoized_verify_matches_verify_file(n, mutations):
+    # The memo is seeded by a clean verify; after each mutation the
+    # resumed check must give exactly the full scan's answer.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.log"
+        ledger = AuditLedger(str(path))
+        try:
+            fill(ledger, n)
+            assert ledger.verify() is None
+            for mutation in mutations:
+                _mutate(ledger, path, mutation)
+                assert ledger.verify() == verify_file(str(path)), mutation
+                assert ledger.verify() == verify_file(str(path)), mutation
+        finally:
+            ledger.close()
+
+
+def test_repeat_verify_checks_only_new_lines(tmp_path, monkeypatch):
+    checked = []
+    plain = audit._check_line
+
+    def counted(obj, position, prev_hash):
+        checked.append(position)
+        return plain(obj, position, prev_hash)
+
+    monkeypatch.setattr(audit, "_check_line", counted)
+    path = tmp_path / "audit.log"
+    ledger = AuditLedger(str(path))
+    fill(ledger, 20)
+    assert ledger.verify() is None
+    assert len(checked) == 20
+    checked.clear()
+    assert ledger.verify() is None
+    assert checked == []
+    fill(ledger, 3)
+    assert ledger.verify() is None
+    assert checked == [20, 21, 22]
+    # A good last line with no newline is rechecked until it gets one.
+    checked.clear()
+    with open(path, "ab") as fh:
+        fh.write(_next_line(ledger, {"torn": True}))
+    assert ledger.verify() is None
+    assert ledger.verify() is None
+    assert checked == [23, 23]
+    ledger.close()
+
+
+def test_verify_without_a_file_rechecks_memory():
+    ledger = AuditLedger()
+    fill(ledger, 5)
+    assert ledger.verify() is None
+    ledger._events[2] = ledger._events[3]
+    assert ledger.verify() == verify_events(ledger.events()) == 2
 
 
 def test_query_log_filters():

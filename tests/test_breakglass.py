@@ -121,6 +121,17 @@ def test_requester_cannot_self_approve():
     assert req.approvals == []
 
 
+def test_approver_must_be_registered():
+    # Two made-up names must not make a quorum.
+    svc = service()
+    req = file_request(svc)
+    for name in ("mallory", "mallory2"):
+        with pytest.raises(UnknownAccount):
+            svc.approve(req.request_id, name, 1)
+    assert req.approvals == []
+    assert req.status == PENDING
+
+
 def test_each_approver_counts_once():
     svc = service(quorum=3)
     req = file_request(svc)

@@ -233,6 +233,24 @@ def test_restart_recovers_contracts_clock_and_ledger(tmp_path):
     reborn.close()
 
 
+def test_audit_verify_sees_a_flip_in_the_already_verified_prefix(tmp_path):
+    core = make_core(data_dir=tmp_path)
+    standard_session(core)
+    assert ok(core, "audit_verify") == {"verified": True, "events": len(core.ledger)}
+    path = tmp_path / "audit.log"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+    expected = audit_mod.verify_file(str(path))
+    assert expected is not None
+    assert ok(core, "audit_verify") == {
+        "verified": False,
+        "first_bad_seq": expected,
+        "events": len(core.ledger),
+    }
+    core.close()
+
+
 def test_restart_never_resurrects_expired_access(tmp_path):
     core = make_core(data_dir=tmp_path)
     standard_session(core)
@@ -306,6 +324,20 @@ def test_break_glass_full_flow():
         audit_mod.ALERT_RAISED,
     ):
         assert needed in kinds
+
+
+def test_break_glass_rejects_unregistered_approvers():
+    core = bg_core()
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    for name in ("mallory", "mallory2"):
+        resp = call(core, "bg_approve", {"request_id": rid, "approver": name})
+        assert err_code(resp) == "UnknownAccount"
+    assert "bg-incident-42" not in core.contracts
+    assert core.enclaves == {}
+    assert audit_mod.BREAK_GLASS_APPROVED not in [e.kind for e in core.ledger.events()]
+    # The request is still open to registered approvers.
+    ok(core, "bg_approve", {"request_id": rid, "approver": "bob"})
+    assert ok(core, "bg_approve", {"request_id": rid, "approver": "carol"})["status"] == "Activated"
 
 
 def test_break_glass_window_closes_by_sweep():
