@@ -161,23 +161,6 @@ class AuditLedger:
             bad, self._memo = _verify_lines(fh, self._memo)
         return bad
 
-    def query_log(self, kind=None, actor=None, contract_id=None, since=None, until=None):
-        """Filtered scan; time bounds are half-open [since, until)."""
-        out = []
-        for e in self._events:
-            if kind is not None and e.kind != kind:
-                continue
-            if actor is not None and e.actor != actor:
-                continue
-            if contract_id is not None and e.payload.get("contract_id") != contract_id:
-                continue
-            if since is not None and e.timestamp < since:
-                continue
-            if until is not None and e.timestamp >= until:
-                continue
-            out.append(e)
-        return out
-
     def close(self):
         if self._fh is not None:
             self._fh.close()

@@ -20,7 +20,7 @@ from . import audit as audit_mod
 from . import breakglass as bg_mod
 from . import contracts as contracts_mod
 from . import enclave as enclave_mod
-from .audit import AuditLedger
+from .audit import AuditEvent, AuditLedger
 from .breakglass import BreakGlassService
 from .canonical import canonical_json
 from .clock import LOGICAL, WALL, LogicalClock, WallClock
@@ -44,23 +44,31 @@ from .monitor import (
 )
 from .store import TableStore, load_table_csv
 
-OPS = (
-    "submit_contract",
-    "activate_contract",
-    "revoke_contract",
-    "broker_enclave",
-    "open_session",
-    "query",
-    "close_session",
-    "alerts",
-    "audit_export",
-    "audit_verify",
-    "bg_request",
-    "bg_approve",
-    "bg_deny",
-    "sweep",
-    "tick",
-)
+# The wire surface: op -> (handler method, {arg: type}). A "?" suffix
+# marks an optional arg; an optional arg sent as null counts as absent.
+# `int` args refuse booleans. `open_session` also gets a `token`, from
+# args or the envelope, which it checks itself (BadToken, not BadRequest).
+OPS = {
+    "submit_contract": ("submit_contract", {"text": str}),
+    "activate_contract": ("activate_contract", {"contract_id": str}),
+    "revoke_contract": ("revoke_contract", {"contract_id": str, "reason?": str}),
+    "broker_enclave": ("broker_enclave", {"contract_id": str}),
+    "open_session": ("open_session", {"enclave_id": str}),
+    "query": ("query", {"session_id": str, "text": str}),
+    "close_session": ("close_session", {"session_id": str}),
+    "alerts": (
+        "alerts",
+        {"rule?": str, "contract_id?": str, "enclave_id?": str, "since?": int, "until?": int},
+    ),
+    "audit_export": ("audit_export", {}),
+    "audit_verify": ("audit_verify", {}),
+    "bg_request": ("bg_request", {"account": str, "template": str, "justification?": str}),
+    "bg_approve": ("bg_approve", {"request_id": str, "approver": str}),
+    "bg_deny": ("bg_deny", {"request_id": str, "operator?": str}),
+    "sweep": ("sweep", {}),
+    "tick": ("tick", {"seconds": int}),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer"}
 
 
 @dataclass
@@ -101,7 +109,7 @@ class BrokerCore:
         self.monitor = AccessMonitor(
             config.volume_threshold, config.probing_threshold, config.probing_window
         )
-        self.gateway = QueryGateway(self.ledger, self.monitor)
+        self.gateway = QueryGateway(self.emit)
         self.break_glass = BreakGlassService(config.bg_quorum, config.bg_window)
         for account in config.bg_accounts:
             self.break_glass.register_account(account)
@@ -163,6 +171,10 @@ class BrokerCore:
             raise UnknownEntity(f"no session {session_id!r}")
         return self.gateway.sessions[session_id]
 
+    def _check_new_id(self, contract_id: str):
+        if contract_id in self.contracts:
+            raise DuplicateContract(f"contract {contract_id!r} already exists")
+
     def _token_for(self, principal: str) -> str:
         if principal not in self.tokens:
             self.tokens[principal] = secrets.token_hex(16)
@@ -178,18 +190,20 @@ class BrokerCore:
                     out.append((c.contract_id, g))
         return out
 
-    # ---------------- audit helpers ----------------
+    # ---------------- the event path ----------------
 
-    def _audit(self, actor: str, kind: str, payload: dict):
-        self.ledger.append(self.clock.now(), actor, kind, payload)
+    def emit(self, actor: str, kind: str, payload: dict) -> AuditEvent:
+        """The one ledger writer. The append is the commit point; the
+        monitor then scores the committed event, and each alert it raises
+        is emitted in turn as an AlertRaised event."""
+        event = self.ledger.append(self.clock.now(), actor, kind, payload)
+        for alert in self.monitor.observe(event):
+            self.emit("monitor", audit_mod.ALERT_RAISED, alert.ledger_payload())
+        return event
 
-    def _audit_transition(self, e: enclave_mod.EnclaveInstance):
-        self._audit_new_transitions(e, len(e.transitions) - 1)
-
-    def _audit_new_transitions(self, e: enclave_mod.EnclaveInstance, start: int) -> int:
-        """Audit every transition record from index `start` on; one event each."""
-        for t in e.transitions[start:]:
-            self._audit(
+    def _emit_transitions(self, e: enclave_mod.EnclaveInstance, records):
+        for t in records:
+            self.emit(
                 "broker",
                 audit_mod.ENCLAVE_TRANSITION,
                 {
@@ -200,20 +214,18 @@ class BrokerCore:
                     "cause": t.cause,
                 },
             )
-        return len(e.transitions)
 
     # ---------------- contract ops ----------------
 
     def submit_contract(self, text: str) -> dict:
         c = parse_contract(text)
-        if c.contract_id in self.contracts:
-            raise DuplicateContract(f"contract {c.contract_id!r} already exists")
+        self._check_new_id(c.contract_id)
         report = validate_contract(c, self.store.catalog())
         if not report.ok:
             problems = "; ".join(f"{code}: {msg}" for code, msg in report.problems)
             raise ValidationFailed(problems)
         self._save_contract(c)
-        self._audit(
+        self.emit(
             "operator",
             audit_mod.CONTRACT_SUBMITTED,
             {"contract_id": c.contract_id, "principal": c.principal, "contract": c.to_json()},
@@ -224,7 +236,7 @@ class BrokerCore:
         c = contracts_mod.activate(self._contract(contract_id), self.clock.now())
         self._save_contract(c)
         token = self._token_for(c.principal)
-        self._audit(
+        self.emit(
             "operator",
             audit_mod.CONTRACT_ACTIVATED,
             {"contract_id": c.contract_id, "activated_at": c.activated_at, "ttl": c.ttl},
@@ -240,7 +252,7 @@ class BrokerCore:
     def revoke_contract(self, contract_id: str, reason: str = "") -> dict:
         c = contracts_mod.revoke(self._contract(contract_id), reason)
         self._save_contract(c)
-        self._audit(
+        self.emit(
             "operator",
             audit_mod.CONTRACT_REVOKED,
             {"contract_id": c.contract_id, "reason": reason},
@@ -248,13 +260,25 @@ class BrokerCore:
         closed = self._shut_enclaves_for(contract_id, enclave_mod.CAUSE_REVOCATION)
         return {"contract_id": contract_id, "status": c.status, "revoked_enclaves": closed}
 
+    def _expire_contract(self, c: DataContract):
+        self._save_contract(contracts_mod.expire(c))
+        self.emit(
+            "broker",
+            audit_mod.CONTRACT_EXPIRED,
+            {"contract_id": c.contract_id, "expired_at": self.clock.now()},
+        )
+
+    def _shut(self, e: enclave_mod.EnclaveInstance, cause: str):
+        """Close both doors and every session of `e` in one step."""
+        enclave_mod.expire_or_revoke(e, cause, self.clock.now())
+        self.gateway.invalidate_for_enclave(e.enclave_id)
+        self._emit_transitions(e, e.transitions[-1:])
+
     def _shut_enclaves_for(self, contract_id: str, cause: str) -> list[str]:
         hit = []
         for e in self.enclaves.values():
             if e.contract_id == contract_id and e.state not in enclave_mod.TERMINAL:
-                enclave_mod.expire_or_revoke(e, cause, self.clock.now())
-                self.gateway.invalidate_for_enclave(e.enclave_id)
-                self._audit_transition(e)
+                self._shut(e, cause)
                 hit.append(e.enclave_id)
         return hit
 
@@ -266,22 +290,21 @@ class BrokerCore:
         now = self.clock.now()
         e = enclave_mod.create_enclave(c, now)
         self.enclaves[e.enclave_id] = e
-        audited = self._audit_new_transitions(e, 0)
         try:
+            enclave_mod.provision(e, c, self.store, now)
+            enclave_mod.seal(e, now)
+            enclave_mod.open_gate(e, now)
+        finally:
             # A failed provision records both the Provisioning and the
             # Revoked transitions; audit whatever actually happened.
-            enclave_mod.provision(e, c, self.store, now)
-        finally:
-            audited = self._audit_new_transitions(e, audited)
-        enclave_mod.seal(e, now)
-        audited = self._audit_new_transitions(e, audited)
-        enclave_mod.open_gate(e, now)
-        self._audit_new_transitions(e, audited)
+            self._emit_transitions(e, e.transitions)
         return {"enclave_id": e.enclave_id, "state": e.state}
 
     # ---------------- session and query ops ----------------
 
-    def open_session(self, enclave_id: str, token: str) -> dict:
+    def open_session(self, enclave_id: str, token) -> dict:
+        if not isinstance(token, str):
+            raise BadToken("no token presented")
         e = self._enclave(enclave_id)
         c = self._contract(e.contract_id)
         expected = self.tokens.get(c.principal)
@@ -298,7 +321,7 @@ class BrokerCore:
     def close_session(self, session_id: str) -> dict:
         s = self._session(session_id)
         c = self._contract(s.contract_id)
-        self.gateway.close_session(s, self.clock.now(), c.principal)
+        self.gateway.close_session(s, c.principal)
         return {"session_id": session_id, "closed": True}
 
     # ---------------- monitor and audit ops ----------------
@@ -318,20 +341,19 @@ class BrokerCore:
 
     # ---------------- break-glass ops ----------------
 
-    def bg_request(self, account: str, template_text: str, justification: str = "") -> dict:
-        template = parse_contract(template_text)
-        if template.contract_id in self.contracts:
-            raise DuplicateContract(f"contract {template.contract_id!r} already exists")
+    def bg_request(self, account: str, template: str, justification: str = "") -> dict:
+        parsed = parse_contract(template)
+        self._check_new_id(parsed.contract_id)
         req = self.break_glass.request_access(
-            account, template, justification, self.store.catalog(), self.clock.now()
+            account, parsed, justification, self.store.catalog(), self.clock.now()
         )
-        self._audit(
+        self.emit(
             account,
             audit_mod.BREAK_GLASS_REQUESTED,
             {
                 "request_id": req.request_id,
                 "account": account,
-                "contract_id": template.contract_id,
+                "contract_id": parsed.contract_id,
                 "justification": justification,
             },
         )
@@ -339,7 +361,7 @@ class BrokerCore:
 
     def bg_approve(self, request_id: str, approver: str) -> dict:
         req, quorum_reached = self.break_glass.approve(request_id, approver, self.clock.now())
-        self._audit(
+        self.emit(
             approver,
             audit_mod.BREAK_GLASS_APPROVED,
             {
@@ -354,16 +376,16 @@ class BrokerCore:
         return self._bg_activate(req)
 
     def _bg_activate(self, req: bg_mod.BreakGlassRequest) -> dict:
-        """Quorum crossed: activate, provision, serve, and alert, atomically."""
-        now = self.clock.now()
+        """Quorum crossed: activate, alert, provision, serve, atomically.
+        The Critical alert is raised by the monitor as it observes the
+        BreakGlassActivated event."""
         template = replace(req.template, ttl=req.activation_window)
-        if template.contract_id in self.contracts:
-            raise DuplicateContract(f"contract {template.contract_id!r} already exists")
-        c = contracts_mod.activate(template, now)
+        self._check_new_id(template.contract_id)
+        c = contracts_mod.activate(template, self.clock.now())
         self._save_contract(c)
         token = self._token_for(c.principal)
         self.break_glass.mark_activated(req.request_id, c.contract_id)
-        self._audit(
+        self.emit(
             "broker",
             audit_mod.BREAK_GLASS_ACTIVATED,
             {
@@ -375,18 +397,6 @@ class BrokerCore:
             },
         )
         enclave_info = self.broker_enclave(c.contract_id)
-        alert = self.monitor.record_break_glass_activation(req.request_id, c.contract_id, now)
-        self._audit(
-            "monitor",
-            audit_mod.ALERT_RAISED,
-            {
-                "alert_id": alert.alert_id,
-                "rule": alert.rule,
-                "severity": alert.severity,
-                "session_id": alert.session_id,
-                "contract_id": alert.contract_id,
-            },
-        )
         return {
             "request_id": req.request_id,
             "status": req.status,
@@ -399,7 +409,7 @@ class BrokerCore:
 
     def bg_deny(self, request_id: str, operator: str = "operator") -> dict:
         req = self.break_glass.deny(request_id, self.clock.now())
-        self._audit(
+        self.emit(
             operator,
             audit_mod.BREAK_GLASS_DENIED,
             {"request_id": request_id, "account": req.account_id},
@@ -434,30 +444,20 @@ class BrokerCore:
             auto_revoked.append(req.request_id)
             c = self.contracts.get(req.activated_contract_id)
             if c is not None and c.status == ACTIVE:
-                self._save_contract(contracts_mod.expire(c))
+                self._expire_contract(c)
                 expired_contracts.append(c.contract_id)
-                self._audit(
-                    "broker",
-                    audit_mod.CONTRACT_EXPIRED,
-                    {"contract_id": c.contract_id, "expired_at": now},
-                )
             expired_enclaves.extend(
                 self._shut_enclaves_for(req.activated_contract_id, enclave_mod.CAUSE_BREAK_GLASS_AUTO)
             )
-            self._audit(
+            self.emit(
                 "broker",
                 audit_mod.BREAK_GLASS_REVOKED,
                 {"request_id": req.request_id, "contract_id": req.activated_contract_id},
             )
         for c in list(self.contracts.values()):
             if c.status == ACTIVE and not is_live(c, now):
-                self._save_contract(contracts_mod.expire(c))
+                self._expire_contract(c)
                 expired_contracts.append(c.contract_id)
-                self._audit(
-                    "broker",
-                    audit_mod.CONTRACT_EXPIRED,
-                    {"contract_id": c.contract_id, "expired_at": now},
-                )
         for e in self.enclaves.values():
             if e.state in enclave_mod.TERMINAL:
                 continue
@@ -468,9 +468,7 @@ class BrokerCore:
                     if c is not None and c.status == contracts_mod.REVOKED
                     else enclave_mod.CAUSE_EXPIRY
                 )
-                enclave_mod.expire_or_revoke(e, cause, now)
-                self.gateway.invalidate_for_enclave(e.enclave_id)
-                self._audit_transition(e)
+                self._shut(e, cause)
                 expired_enclaves.append(e.enclave_id)
         return {
             "expired": expired_contracts,
@@ -493,9 +491,22 @@ class BrokerCore:
             return _error(req_id, "BadRequest", "args must be an object")
         if op not in OPS:
             return _error(req_id, "UnknownOp", f"unknown op {op!r}")
+        handler, spec = OPS[op]
+        kwargs = {}
+        for key, kind in spec.items():
+            name = key.rstrip("?")
+            value = args.get(name)
+            if value is None and name != key:
+                continue
+            if not isinstance(value, kind) or isinstance(value, bool):
+                return _error(req_id, "BadRequest", f"{op}: {name} must be {_TYPE_NAMES[kind]}")
+            kwargs[name] = value
+        if op == "open_session":
+            kwargs["token"] = args.get("token") or request.get("token")
         try:
             with self._lock:
-                result = self._dispatch(op, args, request.get("token"))
+                # Looked up per call, so a patched method takes effect.
+                result = getattr(self, handler)(**kwargs)
         except DenialError as exc:
             return _error(req_id, exc.code, str(exc))
         except BrokerError as exc:
@@ -503,51 +514,6 @@ class BrokerCore:
         except (TypeError, KeyError, ValueError) as exc:
             return _error(req_id, "BadRequest", f"bad args for {op}: {exc}")
         return {"id": req_id, "ok": True, "result": result}
-
-    def _dispatch(self, op: str, args: dict, envelope_token):
-        if op == "submit_contract":
-            return self.submit_contract(args["text"])
-        if op == "activate_contract":
-            return self.activate_contract(args["contract_id"])
-        if op == "revoke_contract":
-            return self.revoke_contract(args["contract_id"], args.get("reason", ""))
-        if op == "broker_enclave":
-            return self.broker_enclave(args["contract_id"])
-        if op == "open_session":
-            token = args.get("token") or envelope_token
-            if not isinstance(token, str):
-                raise BadToken("no token presented")
-            return self.open_session(args["enclave_id"], token)
-        if op == "query":
-            return self.query(args["session_id"], args["text"])
-        if op == "close_session":
-            return self.close_session(args["session_id"])
-        if op == "alerts":
-            return self.alerts(
-                args.get("rule"),
-                args.get("contract_id"),
-                args.get("enclave_id"),
-                args.get("since"),
-                args.get("until"),
-            )
-        if op == "audit_export":
-            return self.audit_export()
-        if op == "audit_verify":
-            return self.audit_verify()
-        if op == "bg_request":
-            return self.bg_request(args["account"], args["template"], args.get("justification", ""))
-        if op == "bg_approve":
-            return self.bg_approve(args["request_id"], args["approver"])
-        if op == "bg_deny":
-            return self.bg_deny(args["request_id"], args.get("operator", "operator"))
-        if op == "sweep":
-            return self.sweep()
-        if op == "tick":
-            seconds = args["seconds"]
-            if isinstance(seconds, bool) or not isinstance(seconds, int):
-                raise TypeError(f"seconds must be an integer, got {seconds!r}")
-            return self.tick(seconds)
-        raise BadConfig(f"unhandled op {op}")  # unreachable
 
     def close(self):
         self.ledger.close()

@@ -31,7 +31,6 @@ POLICY_CODES = {
     "StatementForbidden",
     "SessionDead",
     "ContractExpired",
-    "RowLimitExceeded",
     "BadToken",
     "EnclaveNotServing",
     "ContractNotLive",

@@ -8,7 +8,6 @@ which nothing can bring it back.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 from .canonical import canonical_bytes
@@ -101,10 +100,6 @@ class DataContract:
 def canonical_encode(c: DataContract) -> bytes:
     """Byte-stable encoding; equal contracts encode identically."""
     return canonical_bytes(c.to_json())
-
-
-def contract_digest(c: DataContract) -> str:
-    return hashlib.sha256(canonical_encode(c)).hexdigest()
 
 
 def activate(c: DataContract, now: int) -> DataContract:

@@ -1,9 +1,10 @@
 """The gateway: the single mediated path to enclave data.
 
 Sessions are bearer-token handles onto one Serving enclave. Every
-statement, allowed or denied or even unparseable, produces exactly one
-audit event and one monitor event; there is no unlogged path. Execution
-reads only the enclave's sealed segments, never the upstream store.
+statement, allowed or denied or even unparseable, is emitted as exactly
+one audit event, which the monitor then scores; there is no unlogged
+path. Execution reads only the enclave's sealed segments, never the
+upstream store.
 """
 
 from __future__ import annotations
@@ -12,19 +13,12 @@ import hmac
 import secrets
 from dataclasses import dataclass
 
-from .audit import (
-    ALERT_RAISED,
-    QUERY_DENIED,
-    QUERY_EXECUTED,
-    SESSION_CLOSED,
-    SESSION_OPENED,
-    AuditLedger,
-)
+from .audit import QUERY_DENIED, QUERY_EXECUTED, SESSION_CLOSED, SESSION_OPENED
 from .contracts import DataContract, Grant, is_live
 from .enclave import SERVING, EnclaveInstance
 from .errors import BadToken, ContractExpired, EnclaveNotServing, ParseError, SessionDead
 from .model import DATE, days_to_date
-from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY, AccessMonitor, MonitorEvent
+from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
 from .store import compile_predicate, project, scan
 from .store import eval_predicate  # noqa: F401  benches/spans.py RowCounter patches this name
@@ -34,15 +28,6 @@ DENY_COLUMN_OUT_OF_SCOPE = "ColumnOutOfScope"
 DENY_STATEMENT_FORBIDDEN = "StatementForbidden"
 DENY_SESSION_DEAD = "SessionDead"
 DENY_CONTRACT_EXPIRED = "ContractExpired"
-DENY_ROW_LIMIT_EXCEEDED = "RowLimitExceeded"  # reserved; truncation is preferred
-DENY_CODES = (
-    DENY_UNKNOWN_TABLE,
-    DENY_COLUMN_OUT_OF_SCOPE,
-    DENY_STATEMENT_FORBIDDEN,
-    DENY_SESSION_DEAD,
-    DENY_CONTRACT_EXPIRED,
-    DENY_ROW_LIMIT_EXCEEDED,
-)
 
 
 @dataclass
@@ -142,11 +127,13 @@ def authorize(ast: QueryAst, c: DataContract, s: Session, now: int) -> Decision:
 
 
 class QueryGateway:
-    """Session registry plus the execute path; owns nothing upstream."""
+    """Session registry plus the execute path; owns nothing upstream.
 
-    def __init__(self, ledger: AuditLedger, monitor: AccessMonitor):
-        self._ledger = ledger
-        self._monitor = monitor
+    `emit(actor, kind, payload)` is the broker's one ledger writer.
+    """
+
+    def __init__(self, emit):
+        self._emit = emit
         self.sessions: dict[str, Session] = {}
         self.execute_calls = 0
 
@@ -176,24 +163,18 @@ class QueryGateway:
             opened_at=now,
         )
         self.sessions[s.session_id] = s
-        self._ledger.append(
-            now,
+        self._emit(
             contract.principal,
             SESSION_OPENED,
-            {
-                "session_id": s.session_id,
-                "enclave_id": s.enclave_id,
-                "contract_id": s.contract_id,
-            },
+            {"session_id": s.session_id, "enclave_id": s.enclave_id, "contract_id": s.contract_id},
         )
         return s
 
-    def close_session(self, s: Session, now: int, actor: str) -> None:
+    def close_session(self, s: Session, actor: str) -> None:
         if s.closed:
             raise SessionDead(f"session {s.session_id} already closed")
         s.closed = True
-        self._ledger.append(
-            now,
+        self._emit(
             actor,
             SESSION_CLOSED,
             {"session_id": s.session_id, "enclave_id": s.enclave_id, "contract_id": s.contract_id},
@@ -216,12 +197,12 @@ class QueryGateway:
         text: str,
         now: int,
     ) -> QueryResult:
-        """parse, authorize, evaluate; always audited, always monitored."""
+        """parse, authorize, evaluate; always audited, so always monitored."""
         self.execute_calls += 1
         try:
             ast = parse_query(text)
         except ParseError as exc:
-            self._report(s, contract, KIND_INVALID, False, VERDICT_DENY, 0, now, text, error=str(exc))
+            self._report(s, contract, text, KIND_INVALID, False, 0, error=str(exc))
             raise
         star = ast.kind == SELECT and ast.columns is None
         decision = authorize(ast, contract, s, now)
@@ -235,18 +216,7 @@ class QueryGateway:
             else:
                 result, decision = self._evaluate_select(ast, contract, enclave)
         rows_returned = len(result.rows) if result is not None else 0
-        verdict = VERDICT_ALLOW if decision.allowed else VERDICT_DENY
-        self._report(
-            s,
-            contract,
-            ast.kind,
-            star,
-            verdict,
-            rows_returned,
-            now,
-            text,
-            deny_code=decision.deny_code,
-        )
+        self._report(s, contract, text, ast.kind, star, rows_returned, deny_code=decision.deny_code)
         if not decision.allowed:
             raise DenialError(decision, f"{decision.deny_code}: {text!r}")
         return result
@@ -289,15 +259,14 @@ class QueryGateway:
         self,
         s: Session,
         contract: DataContract,
+        text: str,
         kind: str,
         star: bool,
-        verdict: str,
         rows_returned: int,
-        now: int,
-        text: str,
         deny_code: str | None = None,
         error: str | None = None,
     ):
+        """Emit the statement's one QueryExecuted or QueryDenied event."""
         payload = {
             "session_id": s.session_id,
             "enclave_id": s.enclave_id,
@@ -305,33 +274,11 @@ class QueryGateway:
             "statement_kind": kind,
             "statement": text,
             "rows_returned": rows_returned,
+            "select_star": star,
         }
         if deny_code is not None:
             payload["deny_code"] = deny_code
         if error is not None:
             payload["error"] = error
-        audit_kind = QUERY_EXECUTED if verdict == VERDICT_ALLOW else QUERY_DENIED
-        self._ledger.append(now, contract.principal, audit_kind, payload)
-        event = MonitorEvent(
-            session_id=s.session_id,
-            enclave_id=s.enclave_id,
-            contract_id=s.contract_id,
-            statement_kind=kind,
-            verdict=verdict,
-            rows_returned=rows_returned,
-            timestamp=now,
-            select_star=star,
-        )
-        for alert in self._monitor.record_event(event):
-            self._ledger.append(
-                now,
-                "monitor",
-                ALERT_RAISED,
-                {
-                    "alert_id": alert.alert_id,
-                    "rule": alert.rule,
-                    "severity": alert.severity,
-                    "session_id": alert.session_id,
-                    "contract_id": alert.contract_id,
-                },
-            )
+        denied = deny_code is not None or error is not None
+        self._emit(contract.principal, QUERY_DENIED if denied else QUERY_EXECUTED, payload)

@@ -1,17 +1,19 @@
-"""Detection rules over the gateway's query stream.
+"""Detection rules over the committed audit stream.
 
-The monitor sees one event per mediated statement and raises alerts on
-the classic exfiltration shapes: schema enumeration followed by a star
-select, any bulk-copy attempt, session row volume drifting past its
-threshold, and bursts of denials that look like permission probing.
-Scoring is deterministic: the same event sequence always yields the
-same alert sequence.
+The monitor observes every event the ledger commits. Each mediated
+statement (QueryExecuted or QueryDenied) is scored against the classic
+exfiltration shapes: schema enumeration followed by a star select, any
+bulk-copy attempt, session row volume drifting past its threshold, and
+bursts of denials that look like permission probing; every break-glass
+activation alerts on its own. Scoring is deterministic: the same event
+sequence always yields the same alert sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import audit
 from .errors import BadConfig
 from .query import COPY_INTO, SELECT, SHOW_TABLES
 
@@ -78,13 +80,19 @@ class Alert:
 
     def to_json(self) -> dict:
         return {
+            **self.ledger_payload(),
+            "evidence": [e.to_json() for e in self.evidence],
+            "timestamp": self.timestamp,
+        }
+
+    def ledger_payload(self) -> dict:
+        """The payload of this alert's AlertRaised ledger event."""
+        return {
             "alert_id": self.alert_id,
             "rule": self.rule,
             "severity": self.severity,
             "session_id": self.session_id,
             "contract_id": self.contract_id,
-            "evidence": [e.to_json() for e in self.evidence],
-            "timestamp": self.timestamp,
         }
 
 
@@ -105,24 +113,14 @@ class AccessMonitor:
         probing_threshold: int = DEFAULT_PROBING_THRESHOLD,
         window: int = DEFAULT_PROBING_WINDOW,
     ):
-        self._check_config(volume_threshold, probing_threshold, window)
+        if volume_threshold <= 0 or probing_threshold <= 0 or window <= 0:
+            raise BadConfig("monitor thresholds must be positive")
         self.volume_threshold = volume_threshold
         self.probing_threshold = probing_threshold
         self.window = window
         self.events: list[MonitorEvent] = []
         self._alerts: list[Alert] = []
         self._sessions: dict[str, _SessionState] = {}
-
-    @staticmethod
-    def _check_config(volume_threshold, probing_threshold, window):
-        if volume_threshold <= 0 or probing_threshold <= 0 or window <= 0:
-            raise BadConfig("monitor thresholds must be positive")
-
-    def rules_config(self, volume_threshold: int, probing_threshold: int, window: int):
-        self._check_config(volume_threshold, probing_threshold, window)
-        self.volume_threshold = volume_threshold
-        self.probing_threshold = probing_threshold
-        self.window = window
 
     def _raise(self, rule, severity, session_id, contract_id, evidence, now) -> Alert:
         alert = Alert(
@@ -136,6 +134,41 @@ class AccessMonitor:
         )
         self._alerts.append(alert)
         return alert
+
+    def observe(self, event: audit.AuditEvent) -> list[Alert]:
+        """Score one committed ledger event; returns any newly raised alerts."""
+        p = event.payload
+        if event.kind == audit.QUERY_EXECUTED or event.kind == audit.QUERY_DENIED:
+            return self.record_event(
+                MonitorEvent(
+                    session_id=p["session_id"],
+                    enclave_id=p["enclave_id"],
+                    contract_id=p["contract_id"],
+                    statement_kind=p["statement_kind"],
+                    verdict=VERDICT_ALLOW if event.kind == audit.QUERY_EXECUTED else VERDICT_DENY,
+                    rows_returned=p["rows_returned"],
+                    timestamp=event.timestamp,
+                    select_star=p["select_star"],
+                )
+            )
+        if event.kind == audit.BREAK_GLASS_ACTIVATED:
+            # Emergency activations always alert, loudly and immediately.
+            ev = MonitorEvent(
+                session_id=f"break-glass:{p['request_id']}",
+                enclave_id="",
+                contract_id=p["contract_id"],
+                statement_kind=KIND_BREAK_GLASS,
+                verdict=VERDICT_ALLOW,
+                rows_returned=0,
+                timestamp=event.timestamp,
+            )
+            self.events.append(ev)
+            return [
+                self._raise(
+                    BREAK_GLASS_ACTIVATED, SEVERITY_CRITICAL, ev.session_id, ev.contract_id, [ev], ev.timestamp
+                )
+            ]
+        return []
 
     def record_event(self, ev: MonitorEvent) -> list[Alert]:
         """Score one mediated statement; returns any newly raised alerts."""
@@ -199,22 +232,6 @@ class AccessMonitor:
                 )
                 st.denial_events = []
         return new
-
-    def record_break_glass_activation(self, request_id: str, contract_id: str, now: int) -> Alert:
-        """Emergency activations always alert, loudly and immediately."""
-        ev = MonitorEvent(
-            session_id=f"break-glass:{request_id}",
-            enclave_id="",
-            contract_id=contract_id,
-            statement_kind=KIND_BREAK_GLASS,
-            verdict=VERDICT_ALLOW,
-            rows_returned=0,
-            timestamp=now,
-        )
-        self.events.append(ev)
-        return self._raise(
-            BREAK_GLASS_ACTIVATED, SEVERITY_CRITICAL, ev.session_id, contract_id, [ev], now
-        )
 
     def alerts(self, rule=None, contract_id=None, enclave_id=None, since=None, until=None):
         """Filtered alert scan; time bounds are half-open [since, until)."""

@@ -188,10 +188,6 @@ class TableStore:
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    def table_rows(self, name: str) -> list[tuple]:
-        self.reads += 1
-        return list(self._get(name).rows)
-
     def catalog(self) -> SchemaCatalog:
         return SchemaCatalog({name: t.schema for name, t in self._tables.items()})
 

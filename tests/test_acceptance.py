@@ -40,7 +40,6 @@ from enclave_broker.enclave import (
     seal,
 )
 from enclave_broker.errors import ParseError, StateError, UnknownSource
-from enclave_broker.gateway import QueryGateway
 from enclave_broker.lexer import escape_string
 from enclave_broker.model import (
     DATE,
@@ -53,7 +52,6 @@ from enclave_broker.model import (
     Predicate,
     days_to_date,
 )
-from enclave_broker.monitor import AccessMonitor
 from enclave_broker.query import RESERVED, parse_query, print_query
 from enclave_broker.server import BrokerServer
 from enclave_broker.store import TableStore
@@ -260,7 +258,7 @@ def _containment_trial(rng):
     provision(e, contract, store, 0)
     seal(e, 0)
     open_gate(e, 0)
-    gw = QueryGateway(AuditLedger(), AccessMonitor())
+    gw = BrokerCore(BrokerConfig(), store=store).gateway
     s = gw.open_session(e, contract, "tok", "tok", 0)
     reads_after_provision = store.reads
 

@@ -267,18 +267,6 @@ def test_verify_without_a_file_rechecks_memory():
     assert ledger.verify() == verify_events(ledger.events()) == 2
 
 
-def test_query_log_filters():
-    ledger = AuditLedger()
-    ledger.append(10, "alice", "QueryExecuted", {"contract_id": "c1"})
-    ledger.append(20, "bob", "QueryDenied", {"contract_id": "c2"})
-    ledger.append(30, "alice", "QueryExecuted", {"contract_id": "c1"})
-    assert len(ledger.query_log(kind="QueryExecuted")) == 2
-    assert len(ledger.query_log(actor="bob")) == 1
-    assert len(ledger.query_log(contract_id="c1")) == 2
-    # Half-open [since, until): 30 excluded by until=30, 10 included by since=10.
-    assert [e.timestamp for e in ledger.query_log(since=10, until=30)] == [10, 20]
-
-
 def test_corrupt_file_rejected_on_load(tmp_path):
     path = tmp_path / "audit.log"
     path.write_text("{]\n", encoding="utf-8")

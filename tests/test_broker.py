@@ -89,14 +89,39 @@ def test_handle_echoes_request_id():
     assert core.handle(None)["id"] is None
 
 
+_SAMPLE = {str: "x", int: 0}
+
+
+def sample_args(spec, skip=None):
+    """One well-typed value for every arg of `spec` but `skip`."""
+    return {k.rstrip("?"): _SAMPLE[t] for k, t in spec.items() if k.rstrip("?") != skip}
+
+
 def test_every_declared_op_dispatches():
     core = make_core(bg_accounts=("alice", "bob"))
-    for op in OPS:
-        resp = core.handle({"op": op, "id": op, "args": {}})
-        # Never an UnknownOp, never an unhandled exception.
+    for op, (handler, spec) in OPS.items():
+        assert callable(getattr(core, handler))
+        args = {**sample_args(spec), "unknown_extra": [1, {}]}
+        resp = core.handle({"op": op, "id": op, "args": args})
+        # Well-typed args always reach the handler, and unknown extra args
+        # are ignored: never UnknownOp or BadRequest, never an unhandled
+        # exception.
         assert resp["id"] == op
         if not resp["ok"]:
-            assert resp["error"]["code"] != "UnknownOp"
+            assert resp["error"]["code"] not in ("UnknownOp", "BadRequest"), (op, resp)
+
+
+@pytest.mark.parametrize(
+    "op,name",
+    [(op, k) for op, (_, spec) in OPS.items() for k in spec if not k.endswith("?")],
+)
+def test_missing_required_arg_is_a_bad_request(op, name):
+    core = make_core()
+    before = len(core.ledger)
+    resp = call(core, op, sample_args(OPS[op][1], skip=name))
+    assert err_code(resp) == "BadRequest"
+    assert name in resp["error"]["message"]
+    assert len(core.ledger) == before
 
 
 # ---- contract ops ----
@@ -140,6 +165,10 @@ def test_open_session_token_rules():
     assert err_code(no_token) == "BadToken"
     wrong = call(core, "open_session", {"enclave_id": enclave_id, "token": "guess"})
     assert err_code(wrong) == "BadToken"
+    # A token is never a BadRequest, whatever its type.
+    for bad in (99, ["t"], {"t": 1}):
+        assert err_code(call(core, "open_session", {"enclave_id": enclave_id, "token": bad})) == "BadToken"
+    assert err_code(call(core, "open_session", {"enclave_id": enclave_id}, token=7)) == "BadToken"
     # The envelope token works exactly like the args token.
     via_envelope = call(core, "open_session", {"enclave_id": enclave_id}, token=token)
     assert via_envelope["ok"]
@@ -179,6 +208,32 @@ def test_tick_requires_logical_clock():
     assert err_code(call(core, "tick", {"seconds": 5})) == "StateError"
     with pytest.raises(BadConfig):
         BrokerCore(BrokerConfig(clock_mode="Sundial"))
+
+
+@pytest.mark.parametrize(
+    "op,name,value,extra",
+    [
+        ("query", "text", 5, {}),
+        ("bg_deny", "operator", ["x", 5], {}),
+        ("revoke_contract", "reason", {"why": "leak"}, {"contract_id": "c1"}),
+        ("alerts", "since", "abc", {}),
+        ("alerts", "until", True, {}),
+        ("alerts", "rule", 3, {}),
+        ("bg_request", "justification", 7, {"account": "alice", "template": BG_TEMPLATE}),
+        ("submit_contract", "text", None, {}),
+    ],
+)
+def test_mistyped_args_are_bad_requests_and_leave_no_trace(op, name, value, extra):
+    core = bg_core()
+    _, _, session_id = standard_session(core)
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    args = {"session_id": session_id, "request_id": rid, **extra, name: value}
+    before, calls = len(core.ledger), core.gateway.execute_calls
+    resp = call(core, op, args)
+    assert err_code(resp) == "BadRequest"
+    assert name in resp["error"]["message"]
+    assert len(core.ledger) == before
+    assert core.gateway.execute_calls == calls
 
 
 def test_tick_takes_only_whole_integers():
@@ -430,6 +485,69 @@ def test_audit_accounts_for_every_transition_and_query():
     assert len(activations) == len(ever_active)
 
     assert ok(core, "audit_verify")["verified"] is True
+
+
+def kinds_since(core, start):
+    return [e.kind for e in core.ledger.events()[start:]]
+
+
+def test_enumeration_alert_follows_the_query_that_raised_it():
+    core = make_core()
+    _, _, session_id = standard_session(core)
+    start = len(core.ledger)
+    ok(core, "query", {"session_id": session_id, "text": "SHOW TABLES"})
+    ok(core, "query", {"session_id": session_id, "text": "SELECT * FROM orders"})
+    assert kinds_since(core, start) == [
+        audit_mod.QUERY_EXECUTED,
+        audit_mod.QUERY_EXECUTED,
+        audit_mod.ALERT_RAISED,
+    ]
+    alert = core.ledger.events()[-1]
+    assert alert.actor == "monitor"
+    assert alert.payload == {
+        "alert_id": ok(core, "alerts")["alerts"][0]["alert_id"],
+        "rule": "EnumerationPattern",
+        "severity": "High",
+        "session_id": session_id,
+        "contract_id": "c1",
+    }
+
+
+def test_query_payloads_carry_select_star():
+    core = make_core()
+    _, _, session_id = standard_session(core)
+    start = len(core.ledger)
+    for text in (
+        "SHOW TABLES",
+        "SELECT order_id FROM orders",
+        "SELECT * FROM orders",
+        "garbage ((",
+        "COPY INTO s3://x FROM orders",
+    ):
+        call(core, "query", {"session_id": session_id, "text": text})
+    stars = [
+        e.payload["select_star"]
+        for e in core.ledger.events()[start:]
+        if e.kind in (audit_mod.QUERY_EXECUTED, audit_mod.QUERY_DENIED)
+    ]
+    assert stars == [False, False, True, False, False]
+
+
+def test_quorum_approval_alerts_right_after_activation():
+    core = bg_core()
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    ok(core, "bg_approve", {"request_id": rid, "approver": "bob"})
+    start = len(core.ledger)
+    ok(core, "bg_approve", {"request_id": rid, "approver": "carol"})
+    assert kinds_since(core, start) == [
+        audit_mod.BREAK_GLASS_APPROVED,
+        audit_mod.BREAK_GLASS_ACTIVATED,
+        audit_mod.ALERT_RAISED,
+    ] + [audit_mod.ENCLAVE_TRANSITION] * 4
+    events = core.ledger.events()[start:]
+    assert events[2].payload["rule"] == "BreakGlassActivated"
+    assert events[2].payload["severity"] == "Critical"
+    assert [e.payload["to"] for e in events[3:]] == ["Defined", "Provisioning", "Sealed", "Serving"]
 
 
 def test_alert_filters_through_op():

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from enclave_broker.audit import AuditLedger
+from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contracts import Grant, activate
 from enclave_broker.enclave import (
     CAUSE_EXPIRY,
@@ -27,7 +27,6 @@ from enclave_broker.errors import (
 )
 from enclave_broker.gateway import ALLOW, DenialError, QueryGateway, authorize, deny
 from enclave_broker.model import Comparison, Literal, Predicate
-from enclave_broker.monitor import AccessMonitor
 from enclave_broker.query import parse_query
 from enclave_broker.store import TableStore
 
@@ -38,7 +37,8 @@ TOKEN = "tok-alpha"
 
 
 def rig(c=None, store=None, now=0):
-    """A Serving enclave with its gateway, ledger, and monitor."""
+    """A Serving enclave with its gateway, which emits through a broker
+    core's ledger and monitor (see `core_of`)."""
     store = store or orders_store()
     c = c or activate(
         draft(
@@ -57,8 +57,13 @@ def rig(c=None, store=None, now=0):
     provision(e, c, store, now)
     seal(e, now)
     open_gate(e, now)
-    gw = QueryGateway(AuditLedger(), AccessMonitor())
+    gw = BrokerCore(BrokerConfig(), store=store).gateway
     return gw, e, c, store
+
+
+def core_of(gw: QueryGateway) -> BrokerCore:
+    """The broker whose `emit` the gateway writes through."""
+    return gw._emit.__self__
 
 
 def open_rig(now=0):
@@ -93,10 +98,10 @@ def test_open_session_checks_liveness():
 
 def test_session_lifecycle_audited():
     gw, e, c, s = open_rig()
-    gw.close_session(s, 5, c.principal)
+    gw.close_session(s, c.principal)
     with pytest.raises(SessionDead):
-        gw.close_session(s, 6, c.principal)
-    kinds = [ev.kind for ev in gw._ledger.events()]
+        gw.close_session(s, c.principal)
+    kinds = [ev.kind for ev in core_of(gw).ledger.events()]
     assert kinds == ["SessionOpened", "SessionClosed"]
 
 
@@ -288,9 +293,9 @@ def test_every_statement_is_audited_and_monitored():
         gw.execute(s, e, c, "COPY INTO s3://x FROM orders", 0)
     with pytest.raises(ParseError):
         gw.execute(s, e, c, "DROP TABLE orders", 0)
-    logged = [ev for ev in gw._ledger.events() if ev.kind in ("QueryExecuted", "QueryDenied")]
+    logged = [ev for ev in core_of(gw).ledger.events() if ev.kind in ("QueryExecuted", "QueryDenied")]
     assert len(logged) == gw.execute_calls == 4
-    assert len(gw._monitor.events) == 4
+    assert len(core_of(gw).monitor.events) == 4
     # The unparseable statement is a denial with the raw text preserved.
     bad = logged[-1]
     assert bad.kind == "QueryDenied"
@@ -305,7 +310,7 @@ def test_alerts_are_audited_in_order():
     gw.execute(s, e, c, "SELECT * FROM orders", 0)
     with pytest.raises(DenialError):
         gw.execute(s, e, c, "COPY INTO s3://x FROM orders", 0)
-    kinds = [ev.kind for ev in gw._ledger.events()]
+    kinds = [ev.kind for ev in core_of(gw).ledger.events()]
     assert kinds == [
         "SessionOpened",
         "QueryExecuted",
@@ -315,7 +320,7 @@ def test_alerts_are_audited_in_order():
         "AlertRaised",
     ]
     rules = [
-        ev.payload["rule"] for ev in gw._ledger.events() if ev.kind == "AlertRaised"
+        ev.payload["rule"] for ev in core_of(gw).ledger.events() if ev.kind == "AlertRaised"
     ]
     assert rules == ["EnumerationPattern", "ExfiltrationAttempt"]
 

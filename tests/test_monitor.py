@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from enclave_broker.audit import BREAK_GLASS_ACTIVATED, SESSION_OPENED, AuditLedger
 from enclave_broker.errors import BadConfig
 from enclave_broker.monitor import AccessMonitor, MonitorEvent
 
@@ -32,9 +33,6 @@ def test_config_must_be_positive():
         AccessMonitor(probing_threshold=-1)
     with pytest.raises(BadConfig):
         AccessMonitor(window=0)
-    m = AccessMonitor()
-    with pytest.raises(BadConfig):
-        m.rules_config(10, 5, 0)
 
 
 def test_exfiltration_fires_on_every_copy():
@@ -133,7 +131,11 @@ def test_probing_clears_after_firing():
 
 def test_break_glass_activation_alert():
     m = AccessMonitor()
-    alert = m.record_break_glass_activation("req-1", "c9", now=50)
+    ledger = AuditLedger()
+    assert m.observe(ledger.append(49, "x", SESSION_OPENED, {"session_id": "s1"})) == []
+    activated = ledger.append(50, "broker", BREAK_GLASS_ACTIVATED, {"request_id": "req-1", "contract_id": "c9"})
+    [alert] = m.observe(activated)
+    assert alert.timestamp == 50
     assert alert.rule == "BreakGlassActivated"
     assert alert.severity == "Critical"
     assert alert.contract_id == "c9"

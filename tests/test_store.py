@@ -104,7 +104,7 @@ def test_snapshot_isolation():
 def test_reads_are_counted():
     store = orders_store()
     assert store.reads == 0
-    store.table_rows("warehouse.orders")
+    store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
     store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
     assert store.reads == 2
 
