@@ -35,7 +35,7 @@ from .errors import (
     ValidationFailed,
 )
 from .contract_dsl import parse_contract
-from .gateway import DenialError, QueryGateway
+from .gateway import QueryGateway
 from .monitor import (
     DEFAULT_PROBING_THRESHOLD,
     DEFAULT_PROBING_WINDOW,
@@ -224,12 +224,14 @@ class BrokerCore:
         if not report.ok:
             problems = "; ".join(f"{code}: {msg}" for code, msg in report.problems)
             raise ValidationFailed(problems)
-        self._save_contract(c)
+        # The append is the commit point: a contract the ledger cannot
+        # record is never registered.
         self.emit(
             "operator",
             audit_mod.CONTRACT_SUBMITTED,
             {"contract_id": c.contract_id, "principal": c.principal, "contract": c.to_json()},
         )
+        self._save_contract(c)
         return {"contract_id": c.contract_id, "status": c.status}
 
     def activate_contract(self, contract_id: str) -> dict:
@@ -507,8 +509,6 @@ class BrokerCore:
             with self._lock:
                 # Looked up per call, so a patched method takes effect.
                 result = getattr(self, handler)(**kwargs)
-        except DenialError as exc:
-            return _error(req_id, exc.code, str(exc))
         except BrokerError as exc:
             return _error(req_id, exc.code, str(exc))
         except (TypeError, KeyError, ValueError) as exc:

@@ -171,7 +171,8 @@ def _read_file(path: str) -> str | None:
         return None
 
 
-def _table_arg(arg: str) -> tuple[str, str]:
+def table_arg(arg: str) -> tuple[str, str]:
+    """argparse type for `--table NAMESPACE.TABLE=CSVPATH`, in both CLIs."""
     if "=" not in arg:
         raise argparse.ArgumentTypeError(f"expected NAMESPACE.TABLE=CSVPATH, got {arg!r}")
     name, path = arg.split("=", 1)
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reason", default="")
     p = csub.add_parser("lint", parents=[shared], help="offline parse (and validate with --table)")
     p.add_argument("file")
-    p.add_argument("--table", action="append", default=[], type=_table_arg, metavar="NS.TBL=CSV")
+    p.add_argument("--table", action="append", default=[], type=table_arg, metavar="NS.TBL=CSV")
 
     enclave = sub.add_parser("enclave", help="manage enclaves")
     esub = enclave.add_subparsers(dest="action", required=True)

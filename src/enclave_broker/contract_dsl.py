@@ -74,13 +74,22 @@ def parse_literal(ts: TokenStream) -> Literal:
     ts.error(f"expected a literal, found {ts.describe()}")
 
 
-def parse_comparison(ts: TokenStream, ident_fn) -> Comparison:
-    column = ident_fn(ts, "a column name")
-    tok = ts.peek()
-    if tok.kind != lexer.PUNCT or tok.text not in OPS:
-        ts.error(f"expected a comparison operator, found {ts.describe()}")
-    ts.advance()
-    return Comparison(column, tok.text, parse_literal(ts))
+def parse_where(ts: TokenStream, ident, at_keyword) -> Predicate | None:
+    """An optional `where` conjunction of `column op literal` comparisons,
+    shared by both languages: `ident` and `at_keyword` carry the caller's
+    keyword rule."""
+    if not at_keyword(ts, "where"):
+        return None
+    conjuncts = []
+    while not conjuncts or at_keyword(ts, "and"):
+        ts.advance()  # the where or and keyword
+        column = ident(ts, "a column name")
+        tok = ts.peek()
+        if tok.kind != lexer.PUNCT or tok.text not in OPS:
+            ts.error(f"expected a comparison operator, found {ts.describe()}")
+        ts.advance()
+        conjuncts.append(Comparison(column, tok.text, parse_literal(ts)))
+    return Predicate(tuple(conjuncts))
 
 
 def _parse_ttl(ts: TokenStream) -> int:
@@ -115,14 +124,7 @@ def _parse_grant(ts: TokenStream) -> Grant:
         if len(set(names)) != len(names):
             ts.error("duplicate column in grant", close)
         columns = tuple(names)
-    predicate = None
-    if _at_keyword(ts, "where"):
-        ts.advance()
-        conjuncts = [parse_comparison(ts, _ident)]
-        while _at_keyword(ts, "and"):
-            ts.advance()
-            conjuncts.append(parse_comparison(ts, _ident))
-        predicate = Predicate(tuple(conjuncts))
+    predicate = parse_where(ts, _ident, _at_keyword)
     row_limit = None
     if _at_keyword(ts, "row_limit"):
         ts.advance()
@@ -136,7 +138,7 @@ def _parse_grant(ts: TokenStream) -> Grant:
 
 def parse_contract(text: str) -> DataContract:
     """Parse DSL text into a Draft contract; raises positioned ParseError."""
-    ts = TokenStream(lexer.tokenize(text, comments=True))
+    ts = TokenStream(text, comments=True)
     _expect_keyword(ts, "contract")
     contract_id = _string(ts, "a contract id string")
     ts.expect_punct("{")

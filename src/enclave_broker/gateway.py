@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .audit import QUERY_DENIED, QUERY_EXECUTED, SESSION_CLOSED, SESSION_OPENED
 from .contracts import DataContract, Grant, is_live
 from .enclave import SERVING, EnclaveInstance
-from .errors import BadToken, ContractExpired, EnclaveNotServing, ParseError, SessionDead
+from .errors import BadToken, BrokerError, ContractExpired, EnclaveNotServing, ParseError, SessionDead
 from .model import DATE, days_to_date
 from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
@@ -82,13 +82,14 @@ class QueryResult:
         return {"columns": list(self.columns), "rows": rows, "truncated": self.truncated}
 
 
-class DenialError(Exception):
-    """A denied statement, carrying the gateway's Decision."""
+class DenialError(BrokerError):
+    """A denied statement, carrying the gateway's Decision; its code is
+    the decision's deny code."""
 
     def __init__(self, decision: Decision, message: str = ""):
-        super().__init__(message or decision.deny_code)
-        self.decision = decision
         self.code = decision.deny_code
+        super().__init__(message)
+        self.decision = decision
 
 
 def _grant_for_table(c: DataContract, table: str) -> tuple[int, Grant] | None:

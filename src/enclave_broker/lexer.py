@@ -2,12 +2,15 @@
 
 Both languages use the same identifier, string, number, and date token
 forms; keyword handling (case-sensitive vs not) is left to the parsers.
+A token keeps only its offset into the text: `position` turns an offset
+into a line and column, and runs only when a ParseError is raised.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -19,23 +22,36 @@ DATE = "DATE"
 PUNCT = "PUNCT"
 EOF = "EOF"
 
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}(?!\d)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_PUNCTS = ("!=", "<=", ">=", "{", "}", "[", "]", ",", ".", "*", "=", "<", ">")
-
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t", "r": "\r"}
 _UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
+# An open string: a quote, then plain characters and known escapes.
+_OPEN_STRING = r'"(?:[^"\\\n]|\\[%s])*' % re.escape("".join(_ESCAPES))
+_OPEN_STRING_RE = re.compile(_OPEN_STRING)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
-@dataclass(frozen=True)
-class Token:
+# The first alternative that matches wins. `\d` is a Unicode decimal
+# digit, which int() and float() accept; BAD takes any other character,
+# so the matches tile the whole text.
+_TOKEN_RE = re.compile(
+    rf"""(?P<BLANK>[ \t\r\n]+)
+    |(?P<COMMENT>\#[^\n]*)
+    |(?P<DATE>\d{{4}}-\d{{2}}-\d{{2}}(?!\d))
+    |(?P<DECIMAL>-?\d+\.\d+)
+    |(?P<INTEGER>-?\d+)
+    |(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    |(?P<STRING>{_OPEN_STRING}")
+    |(?P<PUNCT>!=|<=|>=|[{{}}\[\],.*=<>])
+    |(?P<BAD>.)""",
+    re.VERBOSE,
+)
+
+
+class Token(NamedTuple):
     kind: str
     text: str
     value: object
-    line: int
-    column: int
-    pos: int  # absolute offset of the first character
-    end: int  # absolute offset one past the last character
+    pos: int  # offset of the first character in the source text
 
 
 def escape_string(s: str) -> str:
@@ -43,134 +59,71 @@ def escape_string(s: str) -> str:
     return '"' + "".join(_UNESCAPES.get(ch, ch) for ch in s) + '"'
 
 
-class _Scanner:
-    def __init__(self, text: str, comments: bool):
-        self.text = text
-        self.comments = comments
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+def position(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of offset `pos` in `text`."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
-    def error(self, message: str):
-        raise ParseError(message, self.line, self.column)
 
-    def advance(self, n: int = 1):
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
+def _fail(text: str, pos: int, message: str):
+    raise ParseError(message, *position(text, pos))
 
-    def skip_blank(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == "#" and self.comments:
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self.advance()
-            else:
-                return
 
-    def scan_string(self) -> Token:
-        line, column, start = self.line, self.column, self.pos
-        self.advance()  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError("unterminated string", line, column)
-            ch = self.text[self.pos]
-            if ch == "\n":
-                raise ParseError("unterminated string", line, column)
-            if ch == '"':
-                self.advance()
-                return Token(STRING, self.text[start : self.pos], "".join(out), line, column, start, self.pos)
-            if ch == "\\":
-                self.advance()
-                if self.pos >= len(self.text):
-                    raise ParseError("unterminated string", line, column)
-                esc = self.text[self.pos]
-                if esc not in _ESCAPES:
-                    self.error(f"unknown escape \\{esc}")
-                out.append(_ESCAPES[esc])
-                self.advance()
-            else:
-                out.append(ch)
-                self.advance()
-
-    def scan_number(self) -> Token:
-        line, column, start = self.line, self.column, self.pos
-        m = _DATE_RE.match(self.text, self.pos)
-        if m:
-            self.advance(len(m.group()))
-            return Token(DATE, m.group(), m.group(), line, column, start, self.pos)
-        if self.text[self.pos] == "-":
-            self.advance()
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.advance()
-        if (
-            self.pos + 1 < len(self.text)
-            and self.text[self.pos] == "."
-            and self.text[self.pos + 1].isdigit()
-        ):
-            self.advance()
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.advance()
-            text = self.text[start : self.pos]
-            return Token(DECIMAL, text, float(text), line, column, start, self.pos)
-        text = self.text[start : self.pos]
-        return Token(INTEGER, text, int(text), line, column, start, self.pos)
+def _reject(text: str, pos: int):
+    """Diagnose the character at `pos`, where no token form matched."""
+    if text[pos] == '"':
+        end = _OPEN_STRING_RE.match(text, pos).end()
+        if end + 1 < len(text) and text[end] == "\\":
+            _fail(text, end + 1, f"unknown escape \\{text[end + 1]}")
+        _fail(text, pos, "unterminated string")
+    _fail(text, pos, f"unexpected character {text[pos]!r}")
 
 
 def tokenize(text: str, comments: bool = True) -> list[Token]:
     """Scan `text` into tokens, ending with an EOF marker.
 
-    Raises ParseError at the first character that fits no token form.
+    Raises ParseError at the first character that fits no token form,
+    and at a number literal that has no finite value.
     """
-    sc = _Scanner(text, comments)
+    skip = ("BLANK", "COMMENT") if comments else ("BLANK",)
     tokens: list[Token] = []
-    while True:
-        sc.skip_blank()
-        if sc.pos >= len(text):
-            tokens.append(Token(EOF, "", None, sc.line, sc.column, sc.pos, sc.pos))
-            return tokens
-        ch = text[sc.pos]
-        if ch == '"':
-            tokens.append(sc.scan_string())
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in skip:
             continue
-        if ch.isdigit() or (ch == "-" and sc.pos + 1 < len(text) and text[sc.pos + 1].isdigit()):
-            tokens.append(sc.scan_number())
-            continue
-        m = _IDENT_RE.match(text, sc.pos)
-        if m:
-            line, column, start = sc.line, sc.column, sc.pos
-            sc.advance(len(m.group()))
-            tokens.append(Token(IDENT, m.group(), m.group(), line, column, start, sc.pos))
-            continue
-        for punct in _PUNCTS:
-            if text.startswith(punct, sc.pos):
-                line, column, start = sc.line, sc.column, sc.pos
-                sc.advance(len(punct))
-                tokens.append(Token(PUNCT, punct, punct, line, column, start, sc.pos))
-                break
+        word, pos = m.group(), m.start()
+        if kind == IDENT or kind == PUNCT or kind == DATE:
+            value = word
+        elif kind == STRING:
+            value = word[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
+        elif kind == INTEGER:
+            try:
+                value = int(word)
+            except ValueError:  # more digits than int() will read
+                _fail(text, pos, "integer literal is too long")
+        elif kind == DECIMAL:
+            value = float(word)
+            if not math.isfinite(value):
+                _fail(text, pos, "decimal literal is out of range")
         else:
-            sc.error(f"unexpected character {ch!r}")
+            _reject(text, pos)
+        tokens.append(Token(kind, word, value, pos))
+    tokens.append(Token(EOF, "", None, len(text)))
+    return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with the usual recursive-descent helpers."""
+    """Cursor over the tokens of `text` with the usual recursive-descent
+    helpers; a token's line and column are worked out only on error."""
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, text: str, comments: bool):
+        self.text = text
+        self._tokens = tokenize(text, comments)
         self._i = 0
 
     def peek(self) -> Token:
         return self._tokens[self._i]
-
-    def previous(self) -> Token:
-        return self._tokens[self._i - 1]
 
     def advance(self) -> Token:
         tok = self._tokens[self._i]
@@ -182,8 +135,7 @@ class TokenStream:
         return self.peek().kind == EOF
 
     def error(self, message: str, token: Token | None = None):
-        tok = token or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        _fail(self.text, (token or self.peek()).pos, message)
 
     def describe(self, token: Token | None = None) -> str:
         tok = token or self.peek()

@@ -15,9 +15,10 @@ import re
 from dataclasses import dataclass
 
 from . import lexer
+from .contract_dsl import parse_where, print_comparison
 from .errors import ParseError
-from .lexer import TokenStream
-from .model import OPS, Comparison, Predicate
+from .lexer import TokenStream, position
+from .model import Predicate
 
 SELECT = "Select"
 SHOW_TABLES = "ShowTables"
@@ -66,12 +67,6 @@ def _ident(ts: TokenStream, what: str) -> str:
 _COPY_RE = re.compile(r"(?i)^\s*copy\s+into\b[ \t]*")
 
 
-def _position(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    column = pos - (text.rfind("\n", 0, pos) + 1) + 1
-    return line, column
-
-
 def parse_query(text: str) -> QueryAst:
     """Parse one statement; raises positioned ParseError on bad input."""
     m = _COPY_RE.match(text)
@@ -81,13 +76,12 @@ def parse_query(text: str) -> QueryAst:
         raw, tail = (rest, "") if newline < 0 else (rest[:newline], rest[newline:])
         raw = raw.strip()
         if tail.strip():
-            line, column = _position(text, m.end() + newline + 1)
-            raise ParseError("unexpected input after the COPY INTO line", line, column)
+            at = position(text, m.end() + newline + 1)
+            raise ParseError("unexpected input after the COPY INTO line", *at)
         if not raw:
-            line, column = _position(text, m.end())
-            raise ParseError("expected a copy target after INTO", line, column)
+            raise ParseError("expected a copy target after INTO", *position(text, m.end()))
         return QueryAst(kind=COPY_INTO, raw=raw)
-    ts = TokenStream(lexer.tokenize(text, comments=False))
+    ts = TokenStream(text, comments=False)
     tok = ts.peek()
     if tok.kind != lexer.IDENT:
         ts.error(f"expected a statement, found {ts.describe()}")
@@ -118,14 +112,7 @@ def _parse_select(ts: TokenStream) -> QueryAst:
         columns = tuple(names)
     _expect_keyword(ts, "from")
     table = _ident(ts, "a table name")
-    predicate = None
-    if _at_keyword(ts, "where"):
-        ts.advance()
-        conjuncts = [_parse_comparison(ts)]
-        while _at_keyword(ts, "and"):
-            ts.advance()
-            conjuncts.append(_parse_comparison(ts))
-        predicate = Predicate(tuple(conjuncts))
+    predicate = parse_where(ts, _ident, _at_keyword)
     limit = None
     if _at_keyword(ts, "limit"):
         ts.advance()
@@ -138,25 +125,12 @@ def _parse_select(ts: TokenStream) -> QueryAst:
     return QueryAst(kind=SELECT, columns=columns, table=table, predicate=predicate, limit=limit)
 
 
-def _parse_comparison(ts: TokenStream) -> Comparison:
-    from .contract_dsl import parse_literal
-
-    column = _ident(ts, "a column name")
-    tok = ts.peek()
-    if tok.kind != lexer.PUNCT or tok.text not in OPS:
-        ts.error(f"expected a comparison operator, found {ts.describe()}")
-    ts.advance()
-    return Comparison(column, tok.text, parse_literal(ts))
-
-
 def print_query(ast: QueryAst) -> str:
     """Render a statement back to text; parses back to an equal AST."""
     if ast.kind == SHOW_TABLES:
         return "SHOW TABLES"
     if ast.kind == COPY_INTO:
         return f"COPY INTO {ast.raw}"
-    from .contract_dsl import print_comparison
-
     cols = "*" if ast.columns is None else ", ".join(ast.columns)
     out = f"SELECT {cols} FROM {ast.table}"
     if ast.predicate is not None:

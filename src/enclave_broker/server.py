@@ -1,8 +1,8 @@
 """NDJSON wire endpoint over a local unix stream socket.
 
 One JSON Request per line in, one JSON Response per line out. A line
-that is not valid JSON gets a BadRequest response and the stream keeps
-going; the protocol itself never kills a connection.
+that is not UTF-8 or not valid JSON gets a BadRequest response and the
+stream keeps going; the protocol itself never kills a connection.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import threading
 
 from .broker import BrokerConfig, BrokerCore
 from .canonical import canonical_json
+from .cli import table_arg
 from .clock import LOGICAL, WALL
 
 
@@ -48,14 +49,15 @@ class BrokerServer:
             threading.Thread(target=self._serve_connection, args=(conn,), daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket):
-        with conn:
-            reader = conn.makefile("r", encoding="utf-8", newline="\n")
+        with conn, conn.makefile("rb") as reader:
             for line in reader:
                 if not line.strip():
                     continue
+                # Not UTF-8, not JSON, an int too long to read, or nested
+                # too deep: a BadRequest, and the connection stays open.
                 try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    request = json.loads(line.decode("utf-8"))
+                except (ValueError, RecursionError) as exc:
                     response = {
                         "id": None,
                         "ok": False,
@@ -86,13 +88,6 @@ def serve(config: BrokerConfig, endpoint: str) -> BrokerServer:
     return BrokerServer(BrokerCore(config), endpoint).start()
 
 
-def _parse_table_arg(arg: str) -> tuple[str, str]:
-    if "=" not in arg:
-        raise argparse.ArgumentTypeError(f"expected NAMESPACE.TABLE=CSVPATH, got {arg!r}")
-    name, path = arg.split("=", 1)
-    return name, path
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="enclave-brokerd", description="Run the data access broker."
@@ -103,7 +98,7 @@ def main(argv=None) -> int:
         "--table",
         action="append",
         default=[],
-        type=_parse_table_arg,
+        type=table_arg,
         metavar="NAMESPACE.TABLE=CSV",
         help="register a source table from a CSV file (repeatable)",
     )

@@ -155,6 +155,21 @@ def test_submit_rejections():
     assert err_code(call(core, "submit_contract", {"text": C1_TEXT})) == "DuplicateContract"
 
 
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_a_submit_the_ledger_cannot_record_leaves_no_contract(tmp_path, on_disk):
+    # The TTL in seconds has more digits than JSON will encode.
+    core = make_core(tmp_path if on_disk else None)
+    huge = C1_TEXT.replace("expires_in 3600s", "expires_in " + "9" * 4299 + "h")
+    resp = call(core, "submit_contract", {"text": huge})
+    assert err_code(resp) == "BadRequest"
+    assert len(core.ledger) == 0
+    assert err_code(call(core, "activate_contract", {"contract_id": "c1"})) == "UnknownEntity"
+    if on_disk:
+        assert list((tmp_path / "contracts").iterdir()) == []
+    assert ok(core, "submit_contract", {"text": C1_TEXT})["contract_id"] == "c1"
+    core.close()
+
+
 def test_open_session_token_rules():
     core = make_core()
     ok(core, "submit_contract", {"text": C1_TEXT})
@@ -562,3 +577,22 @@ def test_alert_filters_through_op():
     assert ok(core, "alerts", {"rule": "ExfiltrationAttempt"})["alerts"][0]["severity"] == "Critical"
     assert ok(core, "alerts", {"contract_id": "zzz"})["alerts"] == []
     assert ok(core, "alerts", {"enclave_id": enclave_id})["alerts"] != []
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 5000, "²", "1" * 400 + ".5"],
+    ids=["integer-too-long", "superscript-digit", "decimal-overflow"],
+)
+def test_unreadable_literals_are_audited_parse_errors(literal):
+    core = make_core()
+    _, _, session_id = standard_session(core)
+    start, calls = len(core.ledger), core.gateway.execute_calls
+    text = f"SELECT order_id FROM orders WHERE amount > {literal}"
+    resp = call(core, "query", {"session_id": session_id, "text": text})
+    assert err_code(resp) == "ParseError"
+    assert core.gateway.execute_calls == calls + 1
+    (event,) = core.ledger.events()[start:]
+    assert event.kind == audit_mod.QUERY_DENIED
+    assert event.payload["statement_kind"] == "Invalid"
+    assert event.payload["statement"] == text

@@ -126,6 +126,22 @@ def test_invalid_calendar_date_rejected():
     assert "invalid date" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "literal, needle",
+    [("1" * 5000, "too long"), ("²", "unexpected character"), ("1" * 400 + ".5", "out of range")],
+    ids=["integer-too-long", "superscript-digit", "decimal-overflow"],
+)
+def test_unreadable_literals_in_where_are_parse_errors(literal, needle):
+    head = (
+        'contract "c" { principal "p" purpose "x" expires_in 60s'
+        " grant { source a.t columns * where amount > "
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_contract(head + literal + " } }")
+    assert needle in exc.value.detail
+    assert (exc.value.line, exc.value.column) == (1, len(head) + 1)
+
+
 def test_print_normalizes_ttl_to_seconds():
     c = parse_contract(FULL)
     text = print_contract(c)

@@ -28,6 +28,7 @@ class Conn:
     def __init__(self, endpoint: str):
         self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self.sock.connect(endpoint)
+        self.sock.settimeout(10)  # a dead server thread fails the test, not hangs it
         self.reader = self.sock.makefile("r", encoding="utf-8", newline="\n")
         self.n = 0
 
@@ -72,6 +73,23 @@ def test_malformed_json_line_keeps_stream_alive(server):
         assert bad["ok"] is False
         assert bad["error"]["code"] == "BadRequest"
         # Same connection, still serving.
+        assert conn.call("sweep")["ok"] is True
+
+
+def test_undecodable_lines_keep_stream_alive(server):
+    # Not UTF-8, an integer with more digits than json.loads will read,
+    # and arrays nested deeper than its recursion limit.
+    lines = (
+        b"\xff\xfe\n",
+        b'{"op": "tick", "id": ' + b"1" * 5000 + b"}\n",
+        b"[" * 100000 + b"\n",
+    )
+    with Conn(server.endpoint) as conn:
+        for line in lines:
+            conn.send_raw(line)
+            bad = json.loads(conn.read_line())
+            assert bad["id"] is None
+            assert bad["error"]["code"] == "BadRequest"
         assert conn.call("sweep")["ok"] is True
 
 
