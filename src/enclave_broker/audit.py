@@ -6,8 +6,11 @@ of history breaks the chain at the first touched position. The ledger
 answers who accessed what, when, and under which contract, and it can
 prove nobody rewrote the answer.
 
-Persistence is JSON-Lines: one canonically encoded event per line.
-Verification works on the raw file. The only thing it trusts is a
+Persistence is JSON-Lines: one canonically encoded event per line, in
+`audit.log` or, with no data dir, in an in-memory buffer that the same
+code reads and writes. Opening the log checks that every line is a
+readable event but not the chain, which only `verify` checks.
+Verification works on the raw bytes. The only thing it trusts is a
 SHA-256 digest it computed itself, in this process, over the part of the
 file it already checked: if those bytes still hash to that digest, they
 are the bytes that were checked, and only the lines after them are
@@ -18,11 +21,11 @@ who can write the data dir could forge it.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-import os
 from dataclasses import dataclass
 
-from .canonical import canonical_bytes, canonical_json
+from .canonical import canonical_bytes
 from .errors import StorageFailure
 
 GENESIS = "0" * 64
@@ -105,66 +108,75 @@ def _body_hash(body: dict) -> str:
 
 
 class AuditLedger:
-    """The chain plus, optionally, its file. Appends are flushed before
-    the triggering operation is allowed to report success."""
+    """The chain's length and head, over its file or an in-memory buffer.
+
+    No event object is kept: the open reads the log once and keeps only
+    the event count and the last hash, which is all an append needs. Appends are flushed before the triggering operation is
+    allowed to report success; anything that wants the events back
+    reads them from the log.
+    """
 
     def __init__(self, path=None):
-        self._events: list[AuditEvent] = []
         self._path = path
-        self._fh = None
-        self._memo = _START  # where the last verify of the file left off
-        if path is not None:
-            if os.path.exists(path):
-                self._events = _load_events(path)
-            self._fh = open(path, "a", encoding="utf-8")
+        self._memo = _START  # where the last verify of the log left off
+        self._fh = io.BytesIO() if path is None else open(path, "a+b")
+        try:
+            self._fh.seek(0)
+            self._count, self._last = _head(self._fh, path)
+        except BaseException:
+            self._fh.close()
+            raise
 
     @property
     def path(self):
         return self._path
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._count
+
+    def _reader(self):
+        """A new binary stream over the log as written so far, at byte 0."""
+        if self._path is None:
+            return io.BytesIO(self._fh.getvalue())
+        return open(self._path, "rb")
 
     def events(self) -> list[AuditEvent]:
-        return list(self._events)
+        with self._reader() as fh:
+            return [AuditEvent(*(obj[f] for f in _FIELDS)) for obj in _records(fh, self._path)]
 
     def last_hash(self) -> str:
-        return self._events[-1].hash if self._events else GENESIS
+        return self._last
 
     def append(self, timestamp: int, actor: str, kind: str, payload: dict) -> AuditEvent:
         if kind not in KINDS:
             raise StorageFailure(f"unknown audit kind {kind!r}")
-        seq = len(self._events)
-        prev = self.last_hash()
+        seq, prev = self._count, self._last
         digest = compute_hash(seq, timestamp, actor, kind, payload, prev)
         event = AuditEvent(seq, timestamp, actor, kind, payload, prev, digest)
-        if self._fh is not None:
-            try:
-                self._fh.write(canonical_json(event.to_json()) + "\n")
-                self._fh.flush()
-            except OSError as exc:
-                raise StorageFailure(f"audit append failed: {exc}") from None
-        self._events.append(event)
+        line = canonical_bytes(event.to_json()) + b"\n"
+        try:
+            self._fh.write(line)
+            self._fh.flush()
+        except (OSError, ValueError) as exc:  # ValueError: the ledger is closed
+            raise StorageFailure(f"audit append failed: {exc}") from None
+        self._count, self._last = seq + 1, digest
         return event
 
     def verify(self) -> int | None:
         """Recheck the chain; returns the first bad seq, or None if intact.
 
-        With a file, the answer is always `verify_file(path)`'s. The file
+        The answer is always `verify_file`'s for the same bytes. The log
         is re-read from byte 0 on every call, but the bytes an earlier
         call already checked are only rehashed against its digest;
         parsing resumes where that call stopped.
         """
-        if self._path is None:
-            return verify_events(self._events)
-        with open(self._path, "rb") as fh:
+        with self._reader() as fh:
             bad, self._memo = _verify_lines(fh, self._memo)
         return bad
 
     def close(self):
-        if self._fh is not None:
+        if self._path is not None:  # an in-memory log's buffer is its only copy
             self._fh.close()
-            self._fh = None
 
 
 _FIELDS = ("seq", "timestamp", "actor", "kind", "payload", "prev_hash", "hash")
@@ -184,17 +196,6 @@ def _check_line(obj, position: int, prev_hash: str) -> str | None:
     if obj["hash"] != _body_hash({f: obj[f] for f in _BODY}):
         return None
     return obj["hash"]
-
-
-def verify_events(events) -> int | None:
-    """Recheck a parsed chain; returns the first bad seq, or None if intact."""
-    prev = GENESIS
-    for i, e in enumerate(events):
-        obj = e.to_json() if isinstance(e, AuditEvent) else e
-        prev = _check_line(obj, i, prev)
-        if prev is None:
-            return i
-    return None
 
 
 @dataclass(frozen=True)
@@ -269,25 +270,30 @@ def verify_file(path) -> int | None:
         return _verify_lines(fh, _START)[0]
 
 
-def _load_events(path) -> list[AuditEvent]:
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
+def _records(fh, name):
+    """Each non-blank line of `fh` as a dict carrying all seven fields.
+
+    A line that is not UTF-8, not JSON, or not such an object raises
+    StorageFailure naming its line number. Nothing here checks the chain.
+    """
+    for lineno, raw in enumerate(fh, 1):
+        try:
+            text = raw.decode("utf-8")
+            if not text.strip():
                 continue
-            try:
-                obj = json.loads(line)
-                events.append(
-                    AuditEvent(
-                        seq=obj["seq"],
-                        timestamp=obj["timestamp"],
-                        actor=obj["actor"],
-                        kind=obj["kind"],
-                        payload=obj["payload"],
-                        prev_hash=obj["prev_hash"],
-                        hash=obj["hash"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise StorageFailure(f"corrupt audit log {path}: {exc}") from None
-    return events
+            obj = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise StorageFailure(f"corrupt audit log {name} line {lineno}: {exc}") from None
+        if not isinstance(obj, dict) or any(f not in obj for f in _FIELDS):
+            raise StorageFailure(f"corrupt audit log {name} line {lineno}: not an event with all seven fields")
+        yield obj
+
+
+def _head(fh, name) -> tuple[int, str]:
+    """The event count and last hash of the log in `fh`, in one pass that
+    holds one line at a time."""
+    count, last = 0, GENESIS
+    for obj in _records(fh, name):
+        count += 1
+        last = obj["hash"]
+    return count, last

@@ -10,6 +10,7 @@ happens until time moves and someone sweeps.
 from __future__ import annotations
 
 import json
+import re
 import secrets
 import threading
 import urllib.parse
@@ -69,6 +70,9 @@ OPS = {
     "tick": ("tick", {"seconds": int}),
 }
 _TYPE_NAMES = {str: "a string", int: "an integer"}
+# JSON can carry a lone UTF-16 surrogate ("\ud800"); UTF-8 cannot, so
+# neither the ledger nor a reply could record a string holding one.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass
@@ -483,6 +487,8 @@ class BrokerCore:
     def handle(self, request: dict) -> dict:
         """One Request in, one Response out; never raises."""
         req_id = request.get("id") if isinstance(request, dict) else None
+        if _holds_lone_surrogate(req_id):
+            return _error(None, "BadRequest", "id holds a lone surrogate")
         if not isinstance(request, dict) or not isinstance(request.get("op"), str):
             return _error(req_id, "BadRequest", "request must carry a string op")
         op = request["op"]
@@ -502,6 +508,8 @@ class BrokerCore:
                 continue
             if not isinstance(value, kind) or isinstance(value, bool):
                 return _error(req_id, "BadRequest", f"{op}: {name} must be {_TYPE_NAMES[kind]}")
+            if kind is str and _LONE_SURROGATE.search(value):
+                return _error(req_id, "BadRequest", f"{op}: {name} holds a lone surrogate")
             kwargs[name] = value
         if op == "open_session":
             kwargs["token"] = args.get("token") or request.get("token")
@@ -517,6 +525,13 @@ class BrokerCore:
 
     def close(self):
         self.ledger.close()
+
+
+def _holds_lone_surrogate(value) -> bool:
+    """Does this JSON value hold, anywhere, a string UTF-8 cannot encode?"""
+    if isinstance(value, (list, dict)):
+        value = json.dumps(value, ensure_ascii=False)
+    return isinstance(value, str) and _LONE_SURROGATE.search(value) is not None
 
 
 def _error(req_id, code: str, message: str) -> dict:

@@ -1,0 +1,113 @@
+"""The loaders as they were before they streamed, kept as references.
+
+`load_events` is the ledger open that parsed every line into an
+`AuditEvent` and kept them all. `ReferenceStore.register_table` and
+`load_table_csv` check and convert one cell at a time. The tests run
+the streaming code and these on the same inputs and require the same
+result or the same error.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+
+from enclave_broker.audit import AuditEvent
+from enclave_broker.errors import BadConfig, DuplicateTable, StorageFailure, TypeMismatch
+from enclave_broker.model import COLUMN_TYPES, DATE, check_cell, date_to_days
+from enclave_broker.store import Table
+
+
+def load_events(path) -> list[AuditEvent]:
+    events = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                events.append(
+                    AuditEvent(
+                        seq=obj["seq"],
+                        timestamp=obj["timestamp"],
+                        actor=obj["actor"],
+                        kind=obj["kind"],
+                        payload=obj["payload"],
+                        prev_hash=obj["prev_hash"],
+                        hash=obj["hash"],
+                    )
+                )
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise StorageFailure(f"corrupt audit log {path}: {exc}") from None
+    return events
+
+
+class ReferenceStore:
+    def __init__(self):
+        self._tables: dict[str, Table] = {}
+
+    def register_table(self, name: str, schema, rows) -> Table:
+        if name in self._tables:
+            raise DuplicateTable(f"table {name} already registered")
+        if "." not in name:
+            raise BadConfig(f"table name must be qualified namespace.table, got {name!r}")
+        for col, typ in schema:
+            if typ not in COLUMN_TYPES:
+                raise TypeMismatch(f"{name}.{col}: unknown column type {typ!r}")
+        names = [col for col, _ in schema]
+        if len(set(names)) != len(names):
+            raise BadConfig(f"table {name}: duplicate column names")
+        checked = []
+        for rownum, row in enumerate(rows):
+            if len(row) != len(schema):
+                raise TypeMismatch(f"{name} row {rownum}: expected {len(schema)} cells")
+            checked.append(
+                tuple(
+                    check_cell(cell, typ, f"{name} row {rownum} column {col}")
+                    for cell, (col, typ) in zip(row, schema)
+                )
+            )
+        table = Table(name, tuple(schema), checked)
+        self._tables[name] = table
+        return table
+
+
+def load_table_csv(store, name: str, path) -> Table:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            names = next(reader)
+            types = [t.strip() for t in next(reader)]
+        except StopIteration:
+            raise BadConfig(f"{path}: missing header rows") from None
+        if len(names) != len(types):
+            raise BadConfig(f"{path}: header rows disagree on column count")
+        schema = tuple(zip([n.strip() for n in names], types))
+        rows = []
+        for rownum, record in enumerate(reader, start=3):
+            if len(record) != len(schema):
+                raise TypeMismatch(f"{path} line {rownum}: expected {len(schema)} cells")
+            rows.append(
+                tuple(
+                    _parse_cell(cell, typ, f"{path} line {rownum} column {col}")
+                    for cell, (col, typ) in zip(record, schema)
+                )
+            )
+    return store.register_table(name, schema, rows)
+
+
+def _parse_cell(text: str, column_type: str, where: str):
+    try:
+        if column_type == "INT":
+            return int(text)
+        if column_type == "REAL":
+            return check_cell(float(text), "REAL", where)
+        if column_type == DATE:
+            return date_to_days(text.strip())
+        if column_type == "TEXT":
+            return text
+    except TypeMismatch:
+        raise
+    except ValueError as exc:
+        raise TypeMismatch(f"{where}: {exc}") from None
+    raise TypeMismatch(f"{where}: unknown column type {column_type!r}")

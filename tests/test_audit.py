@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,12 @@ from enclave_broker.audit import (
     KINDS,
     AuditLedger,
     compute_hash,
-    verify_events,
     verify_file,
 )
+from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_json
 from enclave_broker.errors import StorageFailure
+from reference_loaders import load_events
 
 
 def fill(ledger: AuditLedger, n: int):
@@ -38,7 +40,7 @@ def test_chain_links_and_hashes():
         assert e.hash == compute_hash(e.seq, e.timestamp, e.actor, e.kind, e.payload, e.prev_hash)
         if i:
             assert e.prev_hash == events[i - 1].hash
-    assert verify_events(events) is None
+    assert ledger.verify() is None
 
 
 def test_unknown_kind_rejected():
@@ -46,15 +48,25 @@ def test_unknown_kind_rejected():
         AuditLedger().append(0, "a", "MadeUpKind", {})
 
 
-def test_verify_events_flags_first_bad():
+def _rewrite(ledger: AuditLedger, rows: list[dict]) -> None:
+    """Replace an in-memory ledger's bytes with `rows`, one line each."""
+    buf = ledger._fh
+    buf.seek(0)
+    buf.truncate()
+    buf.write(b"".join(canonical_json(r).encode("utf-8") + b"\n" for r in rows))
+
+
+def test_verify_flags_first_bad():
     ledger = AuditLedger()
     fill(ledger, 6)
     rows = [e.to_json() for e in ledger.events()]
     rows[3]["payload"]["i"] = 999
-    assert verify_events(rows) == 3
     rows2 = [e.to_json() for e in ledger.events()]
     rows2[2], rows2[4] = rows2[4], rows2[2]
-    assert verify_events(rows2) == 2
+    _rewrite(ledger, rows)
+    assert ledger.verify() == 3
+    _rewrite(ledger, rows2)
+    assert ledger.verify() == 2
 
 
 def test_file_persistence_and_reload(tmp_path):
@@ -263,8 +275,10 @@ def test_verify_without_a_file_rechecks_memory():
     ledger = AuditLedger()
     fill(ledger, 5)
     assert ledger.verify() is None
-    ledger._events[2] = ledger._events[3]
-    assert ledger.verify() == verify_events(ledger.events()) == 2
+    rows = [e.to_json() for e in ledger.events()]
+    rows[2] = rows[3]
+    _rewrite(ledger, rows)
+    assert ledger.verify() == 2
 
 
 def test_corrupt_file_rejected_on_load(tmp_path):
@@ -272,3 +286,103 @@ def test_corrupt_file_rejected_on_load(tmp_path):
     path.write_text("{]\n", encoding="utf-8")
     with pytest.raises(StorageFailure):
         AuditLedger(str(path))
+
+
+def test_non_utf8_line_refuses_to_start_with_storage_failure(tmp_path):
+    good = make_file(tmp_path, 3).read_bytes()
+    (tmp_path / "audit.log").write_bytes(good + b"\xff\xfe\n")
+    with pytest.raises(StorageFailure, match="line 4"):
+        AuditLedger(str(tmp_path / "audit.log"))
+    (tmp_path / "audit.log").write_bytes(b"\xff\xfe\n")
+    with pytest.raises(StorageFailure, match="line 1"):
+        BrokerCore(BrokerConfig(data_dir=str(tmp_path)))
+
+
+def test_append_to_a_closed_ledger_fails(tmp_path):
+    ledger = AuditLedger(str(tmp_path / "audit.log"))
+    fill(ledger, 2)
+    ledger.close()
+    with pytest.raises(StorageFailure):
+        ledger.append(9, "late", KINDS[0], {})
+    assert len(ledger) == 2
+    again = AuditLedger(str(tmp_path / "audit.log"))
+    assert len(again) == 2
+    again.close()
+
+
+def test_open_holds_no_events(tmp_path):
+    # The open keeps the count and the last hash, not the 5k events.
+    path = make_file(tmp_path, 5000)
+    tracemalloc.start()
+    try:
+        ledger = AuditLedger(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    try:
+        assert len(ledger) == 5000
+        assert peak < 1 << 20, peak
+    finally:
+        ledger.close()
+
+
+def _chain_lines(n: int) -> list[bytes]:
+    ledger = AuditLedger()
+    fill(ledger, n)
+    return [canonical_json(e.to_json()).encode("utf-8") + b"\n" for e in ledger.events()]
+
+
+_CHAIN = _chain_lines(8)
+_OPEN_LINES = st.one_of(
+    st.just("event"),
+    st.sampled_from((b"\n", b"  \n", b"\t\r\n", b"\r\n", "\u00a0\u2028\n".encode("utf-8"))),
+    st.binary(max_size=12).filter(lambda b: b"\n" not in b).map(lambda b: b + b"\n"),
+    st.sampled_from((b"[]\n", b"1\n", b"null\n", b'"seq"\n', b'{"seq": 0}\n', b"{\n", b"[" * 3000 + b"\n")),
+    st.sampled_from(audit._FIELDS).map(lambda f: ("missing", f)),
+)
+
+
+def _open_outcome(open_fn, path, refusals):
+    try:
+        return open_fn(path)
+    except refusals:
+        return "refused"
+
+
+@given(lines=st.lists(_OPEN_LINES, max_size=8), torn=st.none() | st.floats(0, 1, exclude_min=True))
+def test_open_matches_the_event_list_load(lines, torn):
+    # Same count, last hash, or refusal as the load that kept every event,
+    # over blank, garbage and half-event lines and torn tails. The old
+    # load refused an undecodable line with UnicodeDecodeError, and JSON
+    # nested too deep with RecursionError; the open refuses both with
+    # StorageFailure, so any of these counts as a refusal.
+    events = iter(_CHAIN)
+    data = b""
+    for line in lines:
+        if line == "event":
+            data += next(events, _CHAIN[0])
+        elif isinstance(line, tuple):
+            obj = json.loads(next(events, _CHAIN[0]))
+            del obj[line[1]]
+            data += canonical_json(obj).encode("utf-8") + b"\n"
+        else:
+            data += line
+    if torn is not None:
+        line = next(events, _CHAIN[0]).rstrip(b"\n")
+        data += line[: max(1, int(torn * len(line)))]
+
+    def reopened(path):
+        ledger = AuditLedger(path)
+        ledger.close()
+        return len(ledger), ledger.last_hash()
+
+    def reference(path):
+        events = load_events(path)
+        return len(events), events[-1].hash if events else GENESIS
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "audit.log")
+        Path(path).write_bytes(data)
+        expected = _open_outcome(reference, path, (StorageFailure, UnicodeDecodeError, ValueError, RecursionError))
+        assert _open_outcome(reopened, path, StorageFailure) == expected
+        assert Path(path).read_bytes() == data

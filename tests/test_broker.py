@@ -251,6 +251,37 @@ def test_mistyped_args_are_bad_requests_and_leave_no_trace(op, name, value, extr
     assert core.gateway.execute_calls == calls
 
 
+@pytest.mark.parametrize(
+    "op,name",
+    [(op, k.rstrip("?")) for op, (_, spec) in OPS.items() for k, t in spec.items() if t is str],
+)
+def test_string_arg_with_lone_surrogate_is_refused_before_the_op(op, name):
+    # JSON carries "\ud800" but UTF-8 cannot, so neither the ledger nor
+    # the reply could hold it: the op must not run at all.
+    core = bg_core()
+    _, _, session_id = standard_session(core)
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    context = {"session_id": session_id, "request_id": rid, "account": "alice", "template": BG_TEMPLATE}
+    args = {k: context.get(k, v) for k, v in sample_args(OPS[op][1]).items()}
+    args[name] = "x\ud800"
+    before, calls, requests = len(core.ledger), core.gateway.execute_calls, len(core.break_glass.requests)
+    resp = call(core, op, args)
+    assert err_code(resp) == "BadRequest"
+    assert name in resp["error"]["message"]
+    assert len(core.ledger) == before
+    assert core.gateway.execute_calls == calls
+    assert len(core.break_glass.requests) == requests
+
+
+@pytest.mark.parametrize("req_id", ["\ud800", ["ok", {"k": "\udfff"}], {"\ud800": 1}])
+def test_request_id_with_lone_surrogate_gets_a_null_id(req_id):
+    core = make_core()
+    resp = core.handle({"op": "sweep", "id": req_id})
+    assert resp["id"] is None
+    assert err_code(resp) == "BadRequest"
+    assert call(core, "sweep", req_id="\U0001f600")["id"] == "\U0001f600"
+
+
 def test_tick_takes_only_whole_integers():
     core = make_core()
     for seconds in ("5", True, 5.9, None):

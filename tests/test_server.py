@@ -125,6 +125,18 @@ def test_token_with_lone_surrogate_is_a_bad_token(server):
         assert opened["error"]["code"] == "BadToken"
 
 
+def test_lone_surrogates_get_bad_request_and_the_connection_stays_open(server):
+    with Conn(server.endpoint) as conn:
+        conn.send_raw(b'{"op": "sweep", "id": "\\ud800"}\n')
+        response = json.loads(conn.read_line())
+        assert response["id"] is None
+        assert response["error"]["code"] == "BadRequest"
+        refused = conn.call("submit_contract", {"text": C1_TEXT.replace("quarterly", "\ud800")})
+        assert refused["error"]["code"] == "BadRequest"
+        assert "text" in refused["error"]["message"]
+        assert conn.call("submit_contract", {"text": C1_TEXT})["ok"]
+
+
 def test_connections_share_one_broker(server):
     with Conn(server.endpoint) as a, Conn(server.endpoint) as b:
         assert a.call("submit_contract", {"text": C1_TEXT})["ok"]

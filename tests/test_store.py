@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import enum
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enclave_broker import store as store_mod
 from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
 from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
@@ -18,6 +25,8 @@ from enclave_broker.store import (
 )
 
 from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, orders_store
+from reference_loaders import ReferenceStore
+from reference_loaders import load_table_csv as reference_load_table_csv
 
 
 def test_register_rejects_duplicates_and_bad_shapes():
@@ -150,6 +159,123 @@ def test_load_csv_bad_cells(tmp_path):
     path.write_text("a\nDATE\n2025-99-99\n", encoding="utf-8")
     with pytest.raises(TypeMismatch):
         load_table_csv(TableStore(), "ns.bad2", path)
+
+
+# ---- the column-wise loaders equal the per-cell reference ----
+
+# Cell texts per declared type: good ones, padded ones, and ones that
+# int(), float() or date.fromisoformat() refuse or take in odd forms.
+_CSV_CELLS = {
+    "INT": st.sampled_from(("0", "12", "-3", " 7 ", "+4", "1_000", "\u0663", "1.5", "x", "", "0x10", "9" * 4301)),
+    "REAL": st.sampled_from(("1.5", "2", " 3.25 ", "-0.0", "nan", "inf", "-inf", "1e400", "1_000.5", "abc", "", "\u0661.\u0665")),
+    "DATE": st.sampled_from(("2024-01-31", " 2024-02-29 ", "2023-02-29", "20240131", "2024-W01-1", "2024-1-5", "", "x")),
+    "TEXT": st.text(st.characters(blacklist_characters="\x00"), max_size=4),
+}
+_CSV_TYPES = st.sampled_from(("INT", "REAL", "DATE", "TEXT", "INT", "REAL", "DATE", "TEXT", " DATE ", "BLOB"))
+
+
+@st.composite
+def _csv_tables(draw):
+    types = draw(st.lists(_CSV_TYPES, min_size=1, max_size=4))
+    names = draw(st.lists(st.sampled_from(("a", "b", "c", "d", " e ")), min_size=len(types), max_size=len(types)))
+    records = []
+    for _ in range(draw(st.integers(0, 9))):
+        record = [draw(_CSV_CELLS.get(t.strip(), st.just("1"))) for t in types]
+        width = draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+        records.append(record[:width] if width < 0 else record + ["9"] * width)
+    return names, types, records
+
+
+def _loaded(load, store, path):
+    try:
+        table = load(store, "ns.t", path)
+    except Exception as exc:  # the two loaders must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+    return table.schema, [(type(row), *map(repr, row)) for row in table.rows]
+
+
+@given(_csv_tables(), st.sampled_from((1, 2, 3, 1024)))
+def test_csv_load_matches_per_cell_reference(table, batch):
+    names, types, records = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([names, types, *records])
+        expected = _loaded(reference_load_table_csv, ReferenceStore(), path)
+        with mock.patch.object(store_mod, "_BATCH", batch):
+            assert _loaded(load_table_csv, TableStore(), path) == expected
+
+
+def test_csv_error_names_its_line_in_a_later_batch(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod, "_BATCH", 2)
+    path = tmp_path / "t.csv"
+    path.write_text("a,d\nINT,DATE\n" + "1,2024-01-01\n" * 5 + "x,2024-01-01\n", encoding="utf-8")
+    with pytest.raises(TypeMismatch, match=r"line 8 column a: invalid literal"):
+        load_table_csv(TableStore(), "ns.t", path)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+# Plain values of each column type, and values check_cell refuses or
+# takes only in the per-cell loop (bool, an IntEnum, a REAL too big to
+# be a float, non-finite floats, text or bytes where numbers belong).
+_PLAIN = {
+    "INT": st.integers(-3, 3) | st.just(2**70),
+    "REAL": st.floats(-1e3, 1e3) | st.integers(-3, 3),
+    "DATE": st.integers(0, 30_000),
+    "TEXT": st.text(max_size=2),
+}
+_ODD = st.sampled_from((True, None, 10**400, _Level.LOW, b"1", float("nan"), float("inf"), "1", 1.5))
+
+
+@st.composite
+def _value_tables(draw):
+    types = draw(st.lists(st.sampled_from(tuple(_PLAIN)), max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(_ODD if draw(st.integers(0, 7)) == 0 else _PLAIN[t]) for t in types]
+        width = draw(st.sampled_from((0,) * 8 + (-1, 1)))
+        cells = cells[:width] if width < 0 else cells + [1] * width
+        rows.append(tuple(cells) if draw(st.booleans()) else cells)
+    return types, rows
+
+
+@given(_value_tables())
+def test_register_table_matches_per_cell_reference(table):
+    types, rows = table
+    schema = tuple((f"c{i}", t) for i, t in enumerate(types))
+    expected = _loaded(lambda s, n, _: s.register_table(n, schema, rows), ReferenceStore(), None)
+    assert _loaded(lambda s, n, _: s.register_table(n, schema, rows), TableStore(), None) == expected
+
+
+@pytest.mark.parametrize(
+    "schema,rows",
+    [
+        ((("r", "REAL"),), [(1.5,), (float("nan"),)]),
+        ((("r", "REAL"),), [(1,), (float("-inf"),)]),
+        ((("r", "REAL"),), [(1.5,), (10**400,)]),
+        ((("a", "INT"),), [(1,), (True,)]),
+        ((("a", "INT"),), [(1,), (_Level.LOW,)]),
+        ((("d", "DATE"),), [(5,), ("2024-01-01",)]),
+        ((("s", "TEXT"),), [("x",), (1,)]),
+        ((("a", "INT"), ("r", "REAL")), [(1, 2), [3, 4.5]]),
+        ((("a", "INT"), ("s", "TEXT")), [(1, "x"), (2,), ("bad", "y")]),
+    ],
+)
+def test_register_table_odd_cells_match_per_cell_reference(schema, rows):
+    expected = _loaded(lambda s, n, _: s.register_table(n, schema, rows), ReferenceStore(), None)
+    assert _loaded(lambda s, n, _: s.register_table(n, schema, rows), TableStore(), None) == expected
+
+
+@pytest.mark.parametrize("real", [2, 2.0])
+def test_register_table_keeps_its_own_row_list(real):
+    rows = [(1, real), (3, 4.5)]
+    table = TableStore().register_table("ns.t", (("a", "INT"), ("r", "REAL")), rows)
+    assert table.rows == [(1, 2.0), (3, 4.5)]
+    assert type(table.rows[0][1]) is float
+    assert table.rows is not rows
 
 
 # ---- extraction and the compiled scan equal the brute-force oracle ----
