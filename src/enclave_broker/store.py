@@ -270,10 +270,14 @@ def _rows_of(columns: list, n: int) -> list[tuple]:
 
 
 # Records converted per step. Reading every record first holds each
-# cell's text beside the table: a 100k-row load took 0.45 s and 97 MB
-# peak RSS that way, against 0.27 s and 61 MB in 1024-record steps
-# (CPython 3.11, 2-vCPU VM).
-_BATCH = 1024
+# cell's text beside the table: 97 MB peak RSS for a 100k-row load,
+# against 61 MB in steps. Small steps also keep consecutive rows' TEXT
+# cells close together in memory, since the next step's strings refill
+# the slots of the number strings freed after conversion: with
+# 1024-record steps, JSON-encoding 1000 loaded rows took about 40%
+# longer than with 32, and loading was no faster (CPython 3.11,
+# 2-vCPU VM).
+_BATCH = 32
 
 
 def load_table_csv(store: TableStore, name: str, path) -> Table:
