@@ -22,7 +22,7 @@ DATE = "DATE"
 REAL = "REAL"
 COLUMN_TYPES = (INT, TEXT, DATE, REAL)
 
-EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
 def date_to_days(iso: str) -> int:
@@ -31,11 +31,11 @@ def date_to_days(iso: str) -> int:
         d = datetime.date.fromisoformat(iso)
     except ValueError as exc:
         raise TypeMismatch(f"bad DATE literal {iso!r}: {exc}") from None
-    return d.toordinal() - EPOCH_ORDINAL
+    return d.toordinal() - _EPOCH_ORDINAL
 
 
 def days_to_date(days: int) -> str:
-    return datetime.date.fromordinal(days + EPOCH_ORDINAL).isoformat()
+    return datetime.date.fromordinal(days + _EPOCH_ORDINAL).isoformat()
 
 
 @dataclass(frozen=True)

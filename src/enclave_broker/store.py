@@ -9,11 +9,10 @@ snapshots cut to exactly what one grant allows.
 from __future__ import annotations
 
 import csv
-import datetime
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterable
 
 from .contracts import Grant
@@ -21,7 +20,6 @@ from .errors import BadConfig, DuplicateTable, StateError, TypeMismatch, Unknown
 from .model import (
     COLUMN_TYPES,
     DATE,
-    EPOCH_ORDINAL,
     INT,
     REAL,
     TEXT,
@@ -221,18 +219,16 @@ def _checked_rows(name: str, schema: tuple[tuple[str, str], ...], rows: list) ->
     """`rows` as tuples whose every cell passes `check_cell`, normalized
     as `check_cell` normalizes it.
 
-    Each column is checked as a whole. A row of the wrong width, or a
-    column holding anything but the plain types its column type stores,
-    sends the table through the per-cell loop, which raises the first
-    error in row-major order or takes the odd but acceptable cell.
+    Each column is checked as a whole. If every row is a tuple of the
+    right width and every column holds only final values of its type,
+    the rows are kept as given; anything else goes through the per-cell
+    loop, which raises the first error in row-major order or normalizes
+    the odd but acceptable cell.
     """
-    if all(len(row) == len(schema) for row in rows):
-        given = [list(map(operator.itemgetter(i), rows)) for i in range(len(schema))]
-        columns = [_checked_column(cells, typ) for cells, (_, typ) in zip(given, schema)]
-        if all(c is g for c, g in zip(columns, given)) and all(type(row) is tuple for row in rows):
-            return list(rows)
-        if None not in columns:
-            return _rows_of(columns, len(rows))
+    if all(type(row) is tuple and len(row) == len(schema) for row in rows) and all(
+        _final_column(list(map(operator.itemgetter(i), rows)), typ) for i, (_, typ) in enumerate(schema)
+    ):
+        return list(rows)
     checked = []
     for rownum, row in enumerate(rows):
         if len(row) != len(schema):
@@ -246,22 +242,15 @@ def _checked_rows(name: str, schema: tuple[tuple[str, str], ...], rows: list) ->
     return checked
 
 
-def _checked_column(cells: list, column_type: str) -> list | None:
-    """`cells` itself if every cell is a plain, final value of the column
-    type; a REAL column of ints and floats as floats; else None."""
+def _final_column(cells: list, column_type: str) -> bool:
+    """Whether every cell is a value `check_cell` keeps as it is: ints
+    for INT and DATE, strs for TEXT, finite floats for REAL."""
     kinds = set(map(type, cells))
     if column_type in (INT, DATE):
-        return cells if kinds <= {int} else None
+        return kinds <= {int}
     if column_type == TEXT:
-        return cells if kinds <= {str} else None
-    if column_type != REAL or not kinds <= {int, float}:
-        return None
-    if int in kinds:
-        try:
-            cells = list(map(float, cells))
-        except OverflowError:
-            return None
-    return cells if all(map(math.isfinite, cells)) else None
+        return kinds <= {str}
+    return column_type == REAL and kinds <= {float} and all(map(math.isfinite, cells))
 
 
 def _rows_of(columns: list, n: int) -> list[tuple]:
@@ -284,7 +273,7 @@ def load_table_csv(store: TableStore, name: str, path) -> Table:
     """Load one CSV (RFC 4180) with a two-row header: names, then types.
 
     Each batch of records is converted by one converter per column
-    (`int`, `float`, `date.fromisoformat`) rather than one call per cell.
+    (`int`, `float`, `date_to_days`) rather than one call per cell.
     If any record has the wrong width or any cell does not convert, the
     per-cell loop raises the first error in row-major order, with its
     line and column.
@@ -310,36 +299,32 @@ def _parse_records(path, schema: tuple[tuple[str, str], ...], records: list, lin
     if all(len(record) == len(schema) for record in records):
         try:
             rows = _rows_of([_values(cells, typ) for cells, (_, typ) in zip(zip(*records), schema)], len(records))
-        except ValueError:
+        except (ValueError, TypeMismatch):
             pass
         else:
             reals = [map(operator.itemgetter(i), rows) for i, (_, typ) in enumerate(schema) if typ == REAL]
             if all(all(map(math.isfinite, values)) for values in reals):
                 return rows
-    rows = []
+    # Some record has the wrong width or a cell that does not convert or
+    # check: find the first one in row-major order and raise its error.
     for rownum, record in enumerate(records, start=line):
         if len(record) != len(schema):
             raise TypeMismatch(f"{path} line {rownum}: expected {len(schema)} cells")
-        rows.append(
-            tuple(
-                _parse_cell(cell, typ, f"{path} line {rownum} column {col}")
-                for cell, (col, typ) in zip(record, schema)
-            )
-        )
-    return rows
+        for cell, (col, typ) in zip(record, schema):
+            _parse_cell(cell, typ, f"{path} line {rownum} column {col}")
+    raise AssertionError("unreachable: the batch failed but no cell did")
 
 
 def _values(cells: tuple, column_type: str):
     """The values of one column's cells, as a lazy iterator that raises
-    ValueError at a cell that does not convert. Zipping the columns'
+    ValueError or TypeMismatch at a cell that does not convert. Zipping the columns'
     iterators converts a batch row by row, with no list per column."""
     if column_type == INT:
         return map(int, cells)
     if column_type == REAL:
         return map(float, cells)
     if column_type == DATE:
-        dates = map(datetime.date.fromisoformat, map(str.strip, cells))
-        return map(operator.sub, map(datetime.date.toordinal, dates), repeat(EPOCH_ORDINAL))
+        return map(date_to_days, map(str.strip, cells))
     if column_type == TEXT:
         return iter(cells)
     raise ValueError(f"unknown column type {column_type!r}")
