@@ -6,13 +6,11 @@ import csv
 import enum
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from enclave_broker import store as store_mod
 from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
 from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
@@ -161,7 +159,7 @@ def test_load_csv_bad_cells(tmp_path):
         load_table_csv(TableStore(), "ns.bad2", path)
 
 
-# ---- the column-wise loaders equal the per-cell reference ----
+# ---- the loaders equal the per-cell reference ----
 
 # Cell texts per declared type: good ones, padded ones, and ones that
 # int(), float() or date.fromisoformat() refuse or take in odd forms.
@@ -194,20 +192,19 @@ def _loaded(load, store, path):
     return table.schema, [(type(row), *map(repr, row)) for row in table.rows]
 
 
-@given(_csv_tables(), st.sampled_from((1, 2, 3, 1024)))
-def test_csv_load_matches_per_cell_reference(table, batch):
+@given(_csv_tables())
+@example((["d", "r"], [" DATE ", "REAL"], [[" 2024-02-29 ", " 3.25 "], ["2024-01-31", "2"]]))
+def test_csv_load_matches_per_cell_reference(table):
     names, types, records = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([names, types, *records])
         expected = _loaded(reference_load_table_csv, ReferenceStore(), path)
-        with mock.patch.object(store_mod, "_BATCH", batch):
-            assert _loaded(load_table_csv, TableStore(), path) == expected
+        assert _loaded(load_table_csv, TableStore(), path) == expected
 
 
-def test_csv_error_names_its_line_in_a_later_batch(tmp_path, monkeypatch):
-    monkeypatch.setattr(store_mod, "_BATCH", 2)
+def test_csv_error_names_its_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,d\nINT,DATE\n" + "1,2024-01-01\n" * 5 + "x,2024-01-01\n", encoding="utf-8")
     with pytest.raises(TypeMismatch, match=r"line 8 column a: invalid literal"):
