@@ -167,7 +167,7 @@ _CSV_CELLS = {
     "INT": st.sampled_from(("0", "12", "-3", " 7 ", "+4", "1_000", "\u0663", "1.5", "x", "", "0x10", "9" * 4301)),
     "REAL": st.sampled_from(("1.5", "2", " 3.25 ", "-0.0", "nan", "inf", "-inf", "1e400", "1_000.5", "abc", "", "\u0661.\u0665")),
     "DATE": st.sampled_from(("2024-01-31", " 2024-02-29 ", "2023-02-29", "20240131", "2024-W01-1", "2024-1-5", "", "x")),
-    "TEXT": st.text(st.characters(blacklist_characters="\x00"), max_size=4),
+    "TEXT": st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=4),
 }
 _CSV_TYPES = st.sampled_from(("INT", "REAL", "DATE", "TEXT", "INT", "REAL", "DATE", "TEXT", " DATE ", "BLOB"))
 
