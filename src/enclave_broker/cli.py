@@ -16,7 +16,7 @@ import sys
 from .canonical import canonical_json
 from .contract_dsl import parse_contract
 from .contracts import validate_contract
-from .errors import ParseError
+from .errors import BrokerError, ParseError
 from .store import TableStore, load_table_csv
 
 EXIT_OK = 0
@@ -151,7 +151,15 @@ def _lint(path: str, tables: list[tuple[str, str]]) -> int:
     if tables:
         store = TableStore()
         for name, csv_path in tables:
-            load_table_csv(store, name, csv_path)
+            try:
+                load_table_csv(store, name, csv_path)
+            except OSError as exc:
+                print(f"cannot read {csv_path}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            except BrokerError as exc:
+                print(exc.code)
+                print(str(exc), file=sys.stderr)
+                return EXIT_DENIED
         report = validate_contract(contract, store.catalog())
         if not report.ok:
             print("ValidationFailed")

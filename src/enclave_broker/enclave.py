@@ -13,11 +13,9 @@ contents never change again until destruction wipes them.
 
 from __future__ import annotations
 
-import hashlib
 import secrets
 from dataclasses import dataclass, field
 
-from .canonical import canonical_bytes
 from .contracts import DataContract, is_live
 from .errors import ContractNotLive, ManTrapViolation, StateError
 from .store import Segment, TableStore
@@ -162,18 +160,3 @@ def destroy(e: EnclaveInstance, now: int) -> EnclaveInstance:
     e.segments.clear()
     _record(e, e.state, DESTROYED, now, CAUSE_OPERATOR)
     return e
-
-
-def segments_digest(e: EnclaveInstance) -> str:
-    """Content hash of the segments; constant from seal to destroy."""
-    body = {
-        str(i): {
-            "origin": s.origin,
-            "columns": list(s.columns),
-            "column_types": list(s.column_types),
-            "rows": [list(r) for r in s.rows],
-            "extracted_at": s.extracted_at,
-        }
-        for i, s in e.segments.items()
-    }
-    return hashlib.sha256(canonical_bytes(body)).hexdigest()

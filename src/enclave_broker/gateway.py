@@ -17,7 +17,6 @@ from .audit import QUERY_DENIED, QUERY_EXECUTED, SESSION_CLOSED, SESSION_OPENED
 from .contracts import DataContract, Grant, is_live
 from .enclave import SERVING, EnclaveInstance
 from .errors import BadToken, BrokerError, ContractExpired, EnclaveNotServing, ParseError, SessionDead
-from .model import DATE, days_to_date
 from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
 from .store import compile_predicate, project, scan
@@ -61,25 +60,14 @@ def deny(code: str) -> Decision:
 @dataclass(frozen=True)
 class QueryResult:
     columns: tuple[str, ...]
-    column_types: tuple[str, ...]
     rows: tuple[tuple, ...]
     truncated: bool
 
     def to_json(self) -> dict:
-        """Wire form. "rows" is always a tuple of row tuples, which JSON
-        encodes as arrays; DATE cells become ISO strings, and results
-        with no DATE column pass their rows through unchanged."""
-        dates = [i for i, t in enumerate(self.column_types) if t == DATE]
-        rows = self.rows
-        if dates:
-            converted = []
-            for row in rows:
-                cells = list(row)
-                for i in dates:
-                    cells[i] = days_to_date(cells[i])
-                converted.append(tuple(cells))
-            rows = tuple(converted)
-        return {"columns": list(self.columns), "rows": rows, "truncated": self.truncated}
+        """Wire form. "rows" is the result's own tuple of row tuples,
+        which JSON encodes as arrays; cells are already in their wire
+        form (DATE cells are ISO text), so no row is rebuilt."""
+        return {"columns": list(self.columns), "rows": self.rows, "truncated": self.truncated}
 
 
 class DenialError(BrokerError):
@@ -228,7 +216,7 @@ class QueryGateway:
             name = g.table_name()
             if name not in names:
                 names.append(name)
-        return QueryResult(("table",), ("TEXT",), tuple((n,) for n in names), False)
+        return QueryResult(("table",), tuple((n,) for n in names), False)
 
     def _evaluate_select(
         self, ast: QueryAst, contract: DataContract, enclave: EnclaveInstance
@@ -252,9 +240,8 @@ class QueryGateway:
         if truncated:
             del matched[cap:]
         picks = [seg_cols[c] for c in out_cols]
-        types = tuple(segment.column_types[i] for i in picks)
         rows = project(picks, len(segment.columns))(matched)
-        return QueryResult(tuple(out_cols), types, rows, truncated), ALLOW
+        return QueryResult(tuple(out_cols), rows, truncated), ALLOW
 
     def _report(
         self,

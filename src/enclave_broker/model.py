@@ -1,11 +1,14 @@
 """Value model shared by contracts, tables, and the query language.
 
 Cell values are plain Python scalars: INT is int, REAL is a finite
-float, TEXT is str, and DATE is an int counting days since 1970-01-01.
-Comparisons are only defined inside a value family (numbers with
-numbers, text with text); a cross-family comparison is simply false
-rather than an error, so a badly typed query predicate filters
-everything out instead of crashing the gateway.
+float, TEXT is str, and DATE is its normalized `YYYY-MM-DD` str, which
+is also its wire form. A DATE literal carries its day count since
+1970-01-01 instead. Comparisons are only defined inside a value family
+(numbers with numbers, text with text), and a DATE is a number, its day
+count: against a DATE literal a DATE cell compares as its text, which
+sorts in day order. A cross-family comparison is simply false rather
+than an error, so a badly typed query predicate filters everything out
+instead of crashing the gateway.
 """
 
 from __future__ import annotations
@@ -25,13 +28,21 @@ COLUMN_TYPES = (INT, TEXT, DATE, REAL)
 _EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
-def date_to_days(iso: str) -> int:
-    """Turn YYYY-MM-DD into days since the epoch; rejects bad dates."""
+def _parse_date(iso: str) -> datetime.date:
     try:
-        d = datetime.date.fromisoformat(iso)
+        return datetime.date.fromisoformat(iso)
     except ValueError as exc:
         raise TypeMismatch(f"bad DATE literal {iso!r}: {exc}") from None
-    return d.toordinal() - _EPOCH_ORDINAL
+
+
+def date_to_days(iso: str) -> int:
+    """Turn YYYY-MM-DD into days since the epoch; rejects bad dates."""
+    return _parse_date(iso).toordinal() - _EPOCH_ORDINAL
+
+
+def normalize_date(iso: str) -> str:
+    """The YYYY-MM-DD form of any date text `date.fromisoformat` reads."""
+    return _parse_date(iso).isoformat()
 
 
 def days_to_date(days: int) -> str:
@@ -169,7 +180,10 @@ def check_cell(value, column_type: str, where: str = "cell"):
             raise TypeMismatch(f"{where}: expected TEXT, got {value!r}")
         return value
     if column_type == DATE:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeMismatch(f"{where}: expected DATE day count, got {value!r}")
-        return value
+        if not isinstance(value, str):
+            raise TypeMismatch(f"{where}: expected DATE text, got {value!r}")
+        try:
+            return normalize_date(value)
+        except TypeMismatch as exc:
+            raise TypeMismatch(f"{where}: {exc}") from None
     raise TypeMismatch(f"{where}: unknown column type {column_type!r}")

@@ -8,7 +8,7 @@ from hypothesis import settings
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contract_dsl import parse_contract
 from enclave_broker.contracts import activate
-from enclave_broker.model import DATE, INT, TEXT, date_to_days
+from enclave_broker.model import DATE, INT, TEXT
 from enclave_broker.store import TableStore
 
 settings.register_profile("suite", deadline=None)
@@ -22,9 +22,9 @@ ORDERS_SCHEMA = (
 )
 
 ORDERS_ROWS = [
-    (1, "acme", 100, date_to_days("2024-12-31")),
-    (2, "globex", 250, date_to_days("2025-01-15")),
-    (3, "acme", 75, date_to_days("2025-02-01")),
+    (1, "acme", 100, "2024-12-31"),
+    (2, "globex", 250, "2025-01-15"),
+    (3, "acme", 75, "2025-02-01"),
 ]
 
 C1_TEXT = """
@@ -43,8 +43,8 @@ contract "c1" {
 # Hand-applied grant filter: rows 2 and 3 are on or after 2025-01-01,
 # row 1 is not; projection drops customer.
 C1_SEGMENT_ROWS = (
-    (2, 250, date_to_days("2025-01-15")),
-    (3, 75, date_to_days("2025-02-01")),
+    (2, 250, "2025-01-15"),
+    (3, 75, "2025-02-01"),
 )
 
 ORDERS_CSV = (

@@ -2,9 +2,10 @@
 
 `load_events` is the ledger open that parsed every line into an
 `AuditEvent` and kept them all. `ReferenceStore.register_table` and
-`load_table_csv` check and convert one cell at a time. The tests run
-the streaming code and these on the same inputs and require the same
-result or the same error.
+`load_table_csv` check and convert one cell at a time; a DATE cell
+becomes the ISO text of its day count. The tests run the streaming
+code and these on the same inputs and require the same result or the
+same error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 
 from enclave_broker.audit import AuditEvent
 from enclave_broker.errors import BadConfig, DuplicateTable, StorageFailure, TypeMismatch
-from enclave_broker.model import COLUMN_TYPES, DATE, check_cell, date_to_days
+from enclave_broker.model import COLUMN_TYPES, DATE, check_cell, date_to_days, days_to_date
 from enclave_broker.store import Table
 
 
@@ -103,7 +104,7 @@ def _parse_cell(text: str, column_type: str, where: str):
         if column_type == "REAL":
             return check_cell(float(text), "REAL", where)
         if column_type == DATE:
-            return date_to_days(text.strip())
+            return days_to_date(date_to_days(text.strip()))
         if column_type == "TEXT":
             return text
     except TypeMismatch:

@@ -50,6 +50,7 @@ from enclave_broker.model import (
     Comparison,
     Literal,
     Predicate,
+    date_to_days,
     days_to_date,
 )
 from enclave_broker.query import RESERVED, parse_query, print_query
@@ -166,12 +167,18 @@ _ORACLE_OPS = {
 }
 
 
-def _oracle_match(row, col_index, predicate):
-    """Independent row filter: number-with-number, text-with-text, else no."""
+def _oracle_match(row, col_index, types, predicate):
+    """Independent row filter: number-with-number, text-with-text, else no.
+
+    A DATE cell is ISO text, but it is a number here: its day count,
+    compared with any DATE, INT or REAL literal's number.
+    """
     if predicate is None:
         return True
     for comp in predicate.conjuncts:
         cell = row[col_index[comp.column]]
+        if types[comp.column] == DATE:
+            cell = date_to_days(cell)
         want = comp.literal.value
         if isinstance(cell, str) != isinstance(want, str):
             return False
@@ -187,7 +194,7 @@ def _rand_cell(rng, typ):
         return rng.randint(-800, 800) / 16
     if typ == TEXT:
         return rng.choice(_WORDS)
-    return rng.randint(19700, 20300)
+    return days_to_date(rng.randint(19700, 20300))
 
 
 def _rand_literal(rng, typ):
@@ -273,11 +280,11 @@ def _containment_trial(rng):
 
     # The oracle: filter-project at provision time, then project-filter-limit.
     col_index = {c: i for i, c in enumerate(all_cols)}
-    snapshot = [r for r in rows if _oracle_match(r, col_index, grant_pred)]
+    snapshot = [r for r in rows if _oracle_match(r, col_index, types, grant_pred)]
     seg_rows = [tuple(r[col_index[c]] for c in grant_cols) for r in snapshot]
     seg_index = {c: i for i, c in enumerate(grant_cols)}
     out_cols = grant_cols if q_cols is None else q_cols
-    matched = [r for r in seg_rows if _oracle_match(r, seg_index, q_pred)]
+    matched = [r for r in seg_rows if _oracle_match(r, seg_index, types, q_pred)]
     limit = len(matched)
     if q_limit is not None:
         limit = min(limit, q_limit)

@@ -133,6 +133,32 @@ def test_lint_missing_file_exits_2(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "data,code,message",
+    [
+        (b"order_id\nINT\nx\n", "TypeMismatch", "line 3 column order_id"),
+        (b"a,b\nINT,TEXT\n1,\xff\n", "BadConfig", "not UTF-8"),
+    ],
+)
+def test_lint_refuses_an_unloadable_table(capsys, tmp_path, contract_file, data, code, message):
+    csv = tmp_path / "orders.csv"
+    csv.write_bytes(data)
+    out, err = run(
+        capsys,
+        ["contract", "lint", contract_file, "--table", f"warehouse.orders={csv}"],
+        expect=1,
+    )
+    assert out.strip() == code
+    assert message in err
+    assert str(csv) in err
+
+
+def test_lint_missing_table_exits_2(capsys, tmp_path, contract_file):
+    ghost = tmp_path / "ghost.csv"
+    out, err = run(capsys, ["contract", "lint", contract_file, "--table", f"warehouse.orders={ghost}"], expect=2)
+    assert f"cannot read {ghost}" in err
+
+
 # ---- online flow and rendering ----
 
 

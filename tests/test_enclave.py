@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 
 import pytest
 
+from enclave_broker.canonical import canonical_bytes
 from enclave_broker.contracts import Grant, activate
 from enclave_broker.enclave import (
     CAUSE_BREAK_GLASS_AUTO,
@@ -18,7 +20,6 @@ from enclave_broker.enclave import (
     open_gate,
     provision,
     seal,
-    segments_digest,
 )
 from enclave_broker.errors import (
     ContractNotLive,
@@ -214,11 +215,26 @@ def test_open_gate_defends_against_forged_upstream():
         open_gate(e, 0)
 
 
+def segments_digest(e: EnclaveInstance) -> str:
+    """Content hash of the segments; constant from seal to destroy."""
+    body = {
+        str(i): {
+            "origin": s.origin,
+            "columns": list(s.columns),
+            "column_types": list(s.column_types),
+            "rows": [list(r) for r in s.rows],
+            "extracted_at": s.extracted_at,
+        }
+        for i, s in e.segments.items()
+    }
+    return hashlib.sha256(canonical_bytes(body)).hexdigest()
+
+
 def test_post_seal_digest_constant_until_destroy():
     store = orders_store()
     e, c, _ = serving(store)
     at_seal = segments_digest(e)
-    store.append_row("warehouse.orders", (7, "initech", 10, 20000))
+    store.append_row("warehouse.orders", (7, "initech", 10, "2024-10-04"))
     expire_or_revoke(e, CAUSE_EXPIRY, 9)
     assert segments_digest(e) == at_seal
     destroy(e, 10)

@@ -26,7 +26,7 @@ from enclave_broker.errors import (
     SessionDead,
 )
 from enclave_broker.gateway import ALLOW, DenialError, QueryGateway, authorize, deny
-from enclave_broker.model import Comparison, Literal, Predicate
+from enclave_broker.model import Comparison, Literal, Predicate, days_to_date
 from enclave_broker.query import parse_query
 from enclave_broker.store import TableStore
 
@@ -196,6 +196,14 @@ def test_dates_render_as_iso_in_json():
     assert out["truncated"] is True
 
 
+def test_json_passes_result_rows_through():
+    gw, e, c, s = open_rig()
+    for text in ("SELECT * FROM orders", "SELECT created_at, order_id FROM orders WHERE created_at > 2025-01-20"):
+        result = gw.execute(s, e, c, text, 0)
+        assert result.rows
+        assert result.to_json()["rows"] is result.rows
+
+
 def test_json_rows_are_row_tuples_with_or_without_dates():
     gw, e, c, s = open_rig()
     for text in ("SELECT order_id FROM orders", "SELECT order_id, created_at FROM orders"):
@@ -227,7 +235,7 @@ class _CountingRows(tuple):
 
 def test_limited_select_stops_after_limit_plus_one_matches():
     store = TableStore()
-    rows = [(i, "acme", i, 20000 + i) for i in range(50)]
+    rows = [(i, "acme", i, days_to_date(20000 + i)) for i in range(50)]
     store.register_table("warehouse.orders", ORDERS_SCHEMA, rows)
     c = activate(draft(grants=(Grant("warehouse.orders", None),)), 0)
     gw, e, _, _ = rig(c=c, store=store)
@@ -281,7 +289,7 @@ def test_segment_not_source_serves_queries():
     gw, e, c, _ = rig(store=store)
     s = gw.open_session(e, c, TOKEN, TOKEN, 0)
     before = gw.execute(s, e, c, "SELECT * FROM orders", 0).rows
-    store.append_row("warehouse.orders", (4, "globex", 999, 20200))
+    store.append_row("warehouse.orders", (4, "globex", 999, "2025-04-22"))
     assert gw.execute(s, e, c, "SELECT * FROM orders", 0).rows == before
 
 

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_json
 from enclave_broker.server import BrokerServer
 
@@ -135,6 +136,67 @@ def test_lone_surrogates_get_bad_request_and_the_connection_stays_open(server):
         assert refused["error"]["code"] == "BadRequest"
         assert "text" in refused["error"]["message"]
         assert conn.call("submit_contract", {"text": C1_TEXT})["ok"]
+
+
+_DATED_CSV = (
+    "id,label,score,d\n"
+    "INT,TEXT,REAL,DATE\n"
+    "1,first,1.5,0001-01-01\n"
+    "2,leap, -0.25 , 2024-02-29 \n"
+    '3,"a, b",3,1970-01-01\n'
+    "4,last,1e3,9999-12-31\n"
+    "5,dup,2.5,2024-02-29\n"
+)
+_DATED_CONTRACT = """
+contract "cd" {
+  principal "p"
+  purpose "dates on the wire"
+  expires_in 1h
+  grant {
+    source ns.dated
+    columns [id, label, score, d]
+  }
+}
+"""
+# Reply lines recorded from the broker when it still held DATE cells as
+# day counts and rewrote them to ISO text per row in the result.
+_DATED_REPLIES = (
+    (
+        "SELECT * FROM dated",
+        '{"id":5,"ok":true,"result":{"columns":["id","label","score","d"],"rows":[[1,"first",1.5,"0001-01-01"],'
+        '[2,"leap",-0.25,"2024-02-29"],[3,"a, b",3.0,"1970-01-01"],[4,"last",1000.0,"9999-12-31"],'
+        '[5,"dup",2.5,"2024-02-29"]],"truncated":false}}\n',
+    ),
+    (
+        "SELECT d, id FROM dated WHERE d >= 1970-01-01 LIMIT 2",
+        '{"id":6,"ok":true,"result":{"columns":["d","id"],"rows":[["2024-02-29",2],["1970-01-01",3]],"truncated":true}}\n',
+    ),
+    (
+        "SELECT * FROM dated WHERE d > 19000",
+        '{"id":7,"ok":true,"result":{"columns":["id","label","score","d"],"rows":[[2,"leap",-0.25,"2024-02-29"],'
+        '[4,"last",1000.0,"9999-12-31"],[5,"dup",2.5,"2024-02-29"]],"truncated":false}}\n',
+    ),
+)
+
+
+def test_date_results_keep_their_wire_bytes(tmp_path):
+    table = tmp_path / "dated.csv"
+    table.write_text(_DATED_CSV, encoding="utf-8")
+    core = BrokerCore(BrokerConfig(tables={"ns.dated": str(table)}))
+    srv = BrokerServer(core, str(tmp_path / "d.sock")).start()
+    try:
+        with Conn(srv.endpoint) as conn:
+            assert conn.call("submit_contract", {"text": _DATED_CONTRACT})["ok"]
+            token = conn.call("activate_contract", {"contract_id": "cd"})["result"]["token"]
+            enclave_id = conn.call("broker_enclave", {"contract_id": "cd"})["result"]["enclave_id"]
+            session_id = conn.call("open_session", {"enclave_id": enclave_id}, token=token)["result"]["session_id"]
+            for text, reply in _DATED_REPLIES:
+                conn.n += 1
+                request = {"op": "query", "id": conn.n, "args": {"session_id": session_id, "text": text}}
+                conn.send_raw((json.dumps(request) + "\n").encode("utf-8"))
+                assert conn.read_line() == reply
+    finally:
+        srv.stop()
 
 
 def test_connections_share_one_broker(server):

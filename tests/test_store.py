@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
 from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
@@ -102,7 +104,7 @@ def test_snapshot_isolation():
     store = orders_store()
     seg = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
     before = seg.rows
-    store.append_row("warehouse.orders", (9, "initech", 1, date_to_days("2025-03-01")))
+    store.append_row("warehouse.orders", (9, "initech", 1, "2025-03-01"))
     assert seg.rows == before
     fresh = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 1)
     assert len(fresh.rows) == len(before) + 1
@@ -147,6 +149,16 @@ def test_load_csv_bad_headers(tmp_path):
     path.write_text("a,b\nINT\n", encoding="utf-8")
     with pytest.raises(BadConfig):
         load_table_csv(TableStore(), "ns.bad", path)
+
+
+def test_load_csv_not_utf8_is_bad_config(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"a,b\nINT,TEXT\n1,\xff\n")
+    with pytest.raises(BadConfig, match=re.escape(f"{path}: table CSV is not UTF-8")):
+        load_table_csv(TableStore(), "ns.bad", path)
+    # The daemon loads its tables through the same loader at start.
+    with pytest.raises(BadConfig, match="not UTF-8"):
+        BrokerCore(BrokerConfig(tables={"ns.bad": str(path)}))
 
 
 def test_load_csv_bad_cells(tmp_path):
@@ -221,10 +233,15 @@ class _Level(enum.IntEnum):
 _PLAIN = {
     "INT": st.integers(-3, 3) | st.just(2**70),
     "REAL": st.floats(-1e3, 1e3) | st.integers(-3, 3),
-    "DATE": st.integers(0, 30_000),
+    "DATE": st.integers(0, 30_000).map(days_to_date),
     "TEXT": st.text(max_size=2),
 }
-_ODD = st.sampled_from((True, None, 10**400, _Level.LOW, b"1", float("nan"), float("inf"), "1", 1.5))
+# DATE cells that are not in YYYY-MM-DD form: a day count, padded text,
+# a bad day, and forms that date.fromisoformat reads on some versions.
+_ODD = st.sampled_from(
+    (True, None, 10**400, _Level.LOW, b"1", float("nan"), float("inf"), "1", 1.5)
+    + (19000, " 2024-01-01", "2023-02-29", "20240131", "2024-W01-1")
+)
 
 
 @st.composite
@@ -255,7 +272,8 @@ def test_register_table_matches_per_cell_reference(table):
         ((("r", "REAL"),), [(1.5,), (10**400,)]),
         ((("a", "INT"),), [(1,), (True,)]),
         ((("a", "INT"),), [(1,), (_Level.LOW,)]),
-        ((("d", "DATE"),), [(5,), ("2024-01-01",)]),
+        ((("d", "DATE"),), [("2024-01-01",), (5,)]),
+        ((("d", "DATE"),), [("2024-01-01",), ("2024-02-30",)]),
         ((("s", "TEXT"),), [("x",), (1,)]),
         ((("a", "INT"), ("r", "REAL")), [(1, 2), [3, 4.5]]),
         ((("a", "INT"), ("s", "TEXT")), [(1, "x"), (2,), ("bad", "y")]),
@@ -287,7 +305,7 @@ _rows = st.lists(
         st.integers(-5, 5),
         st.sampled_from(("red", "green", "blue", "")),
         st.integers(0, 20),
-        st.integers(19000, 19010),  # day counts in January 2022
+        st.integers(18985, 19030).map(days_to_date),  # 2021-12-24 to 2022-02-07
         st.sampled_from((-1.5, 0.0, 2.0, 3.25)),
     ),
     max_size=60,
@@ -311,7 +329,8 @@ _comparisons = st.one_of(
     _comparison(("w", "y", "r"), _int_literals),  # INT literals on INT and REAL columns
     _comparison(("r",), st.sampled_from((-1.5, 0.0, 2.5, 3.25)).map(Literal.real)),
     _comparison(("x",), _text_literals),
-    _comparison(("z",), st.integers(18998, 19012).map(lambda d: Literal.date(days_to_date(d)))),
+    _comparison(("z",), st.integers(18983, 19032).map(lambda d: Literal.date(days_to_date(d)))),
+    _comparison(("z",), st.integers(18983, 19032).map(Literal.integer)),  # a day count on a DATE column
     _comparison(("w", "y", "z", "r"), _text_literals),  # text on numeric columns
     _comparison(("x",), _int_literals),  # a number on a TEXT column
     _comparison(("absent",), _int_literals),  # a column the schema lacks
@@ -323,7 +342,11 @@ _preds = st.one_of(
 
 
 def _oracle_match(row, pred):
-    """Independent re-statement of predicate semantics for this fixed schema."""
+    """Independent re-statement of predicate semantics for this fixed schema.
+
+    The DATE cell z is ISO text, but it compares as a number, its day
+    count, with DATE, INT and REAL literals alike.
+    """
     if pred is None:
         return True
     pos = {c: i for i, c in enumerate(_COLS)}
@@ -339,6 +362,8 @@ def _oracle_match(row, pred):
         if comp.column not in pos:
             return False
         cell = row[pos[comp.column]]
+        if comp.column == "z":
+            cell = date_to_days(cell)
         want = comp.literal.value
         if isinstance(cell, str) != isinstance(want, str):
             return False
@@ -385,3 +410,63 @@ def test_impossible_predicate_reads_no_rows():
     ):
         pred = Predicate((Comparison("w", ">", Literal.integer(0)), comp))
         assert scan(Unreadable(), compile_predicate(_SCHEMA, pred), None) == []
+
+
+# ---- DATE columns: ISO text cells, compared by day count ----
+
+_FIRST_DAY = date_to_days("0001-01-01")
+_LAST_DAY = date_to_days("9999-12-31")
+_DATE_SCHEMA = (("d", "DATE"), ("n", "INT"))
+_days = st.one_of(
+    st.integers(_FIRST_DAY, _LAST_DAY),
+    st.sampled_from((_FIRST_DAY, _FIRST_DAY + 1, -1, 0, 1, 18992, 18993, _LAST_DAY - 1, _LAST_DAY)),
+)
+
+
+def _date_literals(days):
+    """DATE, INT and REAL literals near the given day counts, non-integral
+    REALs, and numbers past both ends of the date range."""
+    near = st.builds(lambda d, k: d + k, st.sampled_from(days), st.integers(-2, 2)).filter(
+        lambda d: _FIRST_DAY <= d <= _LAST_DAY
+    )
+    return st.one_of(
+        near.map(lambda d: Literal.date(days_to_date(d))),
+        near.map(Literal.integer),
+        near.map(float).map(Literal.real),
+        st.builds(lambda d, f: Literal.real(d + f), st.sampled_from(days), st.sampled_from((-0.5, 0.25, 0.999))),
+        st.sampled_from((_FIRST_DAY - 1, _LAST_DAY + 1, -(10**400), 10**400)).map(Literal.integer),
+        st.sampled_from((_FIRST_DAY - 0.5, _LAST_DAY + 0.5, -1e300, 1e300)).map(Literal.real),
+        st.sampled_from(("2022-01-01", "", "x")).map(Literal.text),
+    )
+
+
+@given(st.data())
+def test_date_column_compares_day_counts(data):
+    days = data.draw(st.lists(_days, min_size=1, max_size=12))
+    rows = [(days_to_date(d), d) for d in days]
+    store = TableStore()
+    store.register_table("ns.t", _DATE_SCHEMA, rows)
+    comps = data.draw(
+        st.lists(
+            _comparison(("d",), _date_literals(days))
+            | _comparison(("n",), st.sampled_from(days).map(lambda d: Literal.date(days_to_date(d)))),
+            min_size=1,
+            max_size=3,
+        )
+    )
+
+    def holds(day, comp):
+        want = comp.literal.value
+        if isinstance(want, str):
+            return False
+        return {
+            "=": day == want,
+            "!=": day != want,
+            "<": day < want,
+            "<=": day <= want,
+            ">": day > want,
+            ">=": day >= want,
+        }[comp.op]
+
+    expected = [row for row in rows if all(holds(row[1], c) for c in comps)]
+    assert scan(rows, compile_predicate(_DATE_SCHEMA, Predicate(tuple(comps)))) == expected
