@@ -240,13 +240,13 @@ class BrokerCore:
 
     def activate_contract(self, contract_id: str) -> dict:
         c = contracts_mod.activate(self._contract(contract_id), self.clock.now())
-        self._save_contract(c)
-        token = self._token_for(c.principal)
         self.emit(
             "operator",
             audit_mod.CONTRACT_ACTIVATED,
             {"contract_id": c.contract_id, "activated_at": c.activated_at, "ttl": c.ttl},
         )
+        self._save_contract(c)
+        token = self._token_for(c.principal)
         return {
             "contract_id": c.contract_id,
             "status": c.status,
@@ -257,22 +257,23 @@ class BrokerCore:
 
     def revoke_contract(self, contract_id: str, reason: str = "") -> dict:
         c = contracts_mod.revoke(self._contract(contract_id), reason)
-        self._save_contract(c)
         self.emit(
             "operator",
             audit_mod.CONTRACT_REVOKED,
             {"contract_id": c.contract_id, "reason": reason},
         )
+        self._save_contract(c)
         closed = self._shut_enclaves_for(contract_id, enclave_mod.CAUSE_REVOCATION)
         return {"contract_id": contract_id, "status": c.status, "revoked_enclaves": closed}
 
     def _expire_contract(self, c: DataContract):
-        self._save_contract(contracts_mod.expire(c))
+        expired = contracts_mod.expire(c)
         self.emit(
             "broker",
             audit_mod.CONTRACT_EXPIRED,
             {"contract_id": c.contract_id, "expired_at": self.clock.now()},
         )
+        self._save_contract(expired)
 
     def _shut(self, e: enclave_mod.EnclaveInstance, cause: str):
         """Close both doors and every session of `e` in one step."""
@@ -388,9 +389,6 @@ class BrokerCore:
         template = replace(req.template, ttl=req.activation_window)
         self._check_new_id(template.contract_id)
         c = contracts_mod.activate(template, self.clock.now())
-        self._save_contract(c)
-        token = self._token_for(c.principal)
-        self.break_glass.mark_activated(req.request_id, c.contract_id)
         self.emit(
             "broker",
             audit_mod.BREAK_GLASS_ACTIVATED,
@@ -402,6 +400,9 @@ class BrokerCore:
                 "activation_window": req.activation_window,
             },
         )
+        self._save_contract(c)
+        token = self._token_for(c.principal)
+        self.break_glass.mark_activated(req.request_id, c.contract_id)
         enclave_info = self.broker_enclave(c.contract_id)
         return {
             "request_id": req.request_id,

@@ -140,17 +140,8 @@ class SchemaCatalog:
     def __init__(self, tables: dict[str, tuple[tuple[str, str], ...]] | None = None):
         self._tables = dict(tables or {})
 
-    def add(self, name: str, schema: tuple[tuple[str, str], ...]) -> None:
-        self._tables[name] = tuple(schema)
-
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(self._tables)
-
-    def schema(self, name: str) -> tuple[tuple[str, str], ...]:
-        return self._tables[name]
 
     def column_names(self, name: str) -> tuple[str, ...]:
         return tuple(col for col, _ in self._tables[name])

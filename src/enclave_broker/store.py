@@ -4,13 +4,18 @@ one scan path that both extraction and the gateway run.
 The store is the only component that ever sees full tables. Everything
 downstream works on Segments: filtered, projected, point-in-time
 snapshots cut to exactly what one grant allows.
+
+Cells are checked once, by one check per input form. A table CSV's text
+cells go through its column converters as they are read, and each bad
+cell, DATE included, is a `TypeMismatch` naming the path, line and
+column. Rows of Python values given to `register_table` go through
+`model.check_cell`, one cell at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from datetime import date
 import operator
 from dataclasses import dataclass
 from itertools import islice
@@ -166,8 +171,14 @@ class TableStore:
         self.reads = 0
 
     def register_table(
-        self, name: str, schema: tuple[tuple[str, str], ...], rows: list[tuple]
+        self, name: str, schema: tuple[tuple[str, str], ...], rows: list
     ) -> Table:
+        """Register `name` with rows of Python values, each cell checked
+        and normalized by `check_cell`."""
+        self._check_new(name, schema)
+        return self._insert(name, schema, _checked_rows(name, schema, rows))
+
+    def _check_new(self, name: str, schema: tuple[tuple[str, str], ...]) -> None:
         if name in self._tables:
             raise DuplicateTable(f"table {name} already registered")
         if "." not in name:
@@ -178,27 +189,16 @@ class TableStore:
         names = [col for col, _ in schema]
         if len(set(names)) != len(names):
             raise BadConfig(f"table {name}: duplicate column names")
-        checked = _checked_rows(name, schema, rows)
-        table = Table(name, tuple(schema), checked)
-        self._tables[name] = table
-        return table
 
-    def append_row(self, name: str, row: tuple) -> None:
-        """Admin-side mutation; serialized by the broker, never by the gateway."""
-        table = self._get(name)
-        if len(row) != len(table.schema):
-            raise TypeMismatch(f"{name}: expected {len(table.schema)} cells")
-        table.rows.append(
-            tuple(check_cell(cell, typ, f"{name}.{col}") for cell, (col, typ) in zip(row, table.schema))
-        )
+    def _insert(self, name: str, schema: tuple[tuple[str, str], ...], rows: list[tuple]) -> Table:
+        """Add a table that passed `_check_new`, whose rows hold only final cells."""
+        table = self._tables[name] = Table(name, tuple(schema), rows)
+        return table
 
     def _get(self, name: str) -> Table:
         if name not in self._tables:
             raise UnknownSource(f"unknown table {name}")
         return self._tables[name]
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
 
     def catalog(self) -> SchemaCatalog:
         return SchemaCatalog({name: t.schema for name, t in self._tables.items()})
@@ -235,18 +235,8 @@ class TableStore:
 
 def _checked_rows(name: str, schema: tuple[tuple[str, str], ...], rows: list) -> list[tuple]:
     """`rows` as tuples whose every cell passes `check_cell`, normalized
-    as `check_cell` normalizes it.
-
-    Each column is checked as a whole. If every row is a tuple of the
-    right width and every column holds only final values of its type,
-    the rows are kept as given; anything else goes through the per-cell
-    loop, which raises the first error in row-major order or normalizes
-    the odd but acceptable cell.
-    """
-    if all(type(row) is tuple and len(row) == len(schema) for row in rows) and all(
-        _final_column(list(map(operator.itemgetter(i), rows)), typ) for i, (_, typ) in enumerate(schema)
-    ):
-        return list(rows)
+    as `check_cell` normalizes it; the first bad row or cell, in
+    row-major order, raises."""
     checked = []
     for rownum, row in enumerate(rows):
         if len(row) != len(schema):
@@ -260,42 +250,11 @@ def _checked_rows(name: str, schema: tuple[tuple[str, str], ...], rows: list) ->
     return checked
 
 
-def _final_column(cells: list, column_type: str) -> bool:
-    """Whether every cell is a value `check_cell` keeps as it is: ints
-    for INT, strs for TEXT, finite floats for REAL, and for DATE strs
-    already in YYYY-MM-DD form, each distinct one parsed once."""
-    kinds = set(map(type, cells))
-    if column_type == INT:
-        return kinds <= {int}
-    if column_type == TEXT:
-        return kinds <= {str}
-    if column_type == DATE:
-        return kinds <= {str} and _normal_dates(list(set(cells)))
-    return column_type == REAL and kinds <= {float} and all(map(math.isfinite, cells))
-
-
-def _normal_dates(texts: list[str]) -> bool:
-    """Whether every text reads as a date and already is its YYYY-MM-DD form.
-
-    The `date` methods are mapped directly rather than through
-    `normalize_date`, whose Python frames cost more than the parse: about
-    2.4 against 3.9 ms for the 3650 distinct days of a benchmark table.
-    """
-    try:
-        return list(map(date.isoformat, map(date.fromisoformat, texts))) == texts
-    except ValueError:
-        return False
-
-
 def _real(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"REAL must be finite, got {value!r}")
     return value
-
-
-def _unknown_type(text: str):
-    raise ValueError("unknown column type")
 
 
 class _DateCells(dict):
@@ -307,33 +266,48 @@ class _DateCells(dict):
         return iso
 
 
-# The converter of each column type's CSV cells. Each raises ValueError
-# or TypeMismatch where `_parse_cell` refuses the cell; `str` returns a
-# TEXT cell itself. DATE cells get a fresh `_DateCells` per load.
+# The converter of each column type's CSV cells; `str` returns a TEXT
+# cell itself. DATE cells get a fresh `_DateCells` per load.
 _CONVERTERS = {INT: int, REAL: _real, TEXT: str}
+
+
+def _converter(column_type: str) -> Callable[[str], object]:
+    """The function that turns one CSV cell of `column_type` into its
+    stored value. It raises ValueError or TypeMismatch on a cell it
+    refuses, and on every cell of an unknown type."""
+    if column_type == DATE:
+        return _DateCells().__getitem__
+    if column_type in _CONVERTERS:
+        return _CONVERTERS[column_type]
+
+    def refuse(text: str) -> NoReturn:
+        raise ValueError(f"unknown column type {column_type!r}")
+
+    return refuse
 
 
 def load_table_csv(store: TableStore, name: str, path) -> Table:
     """Load one CSV (RFC 4180) with a two-row header: names, then types.
 
     Each record is converted by calling its column's converter on each
-    cell, so `register_table` finds every column final and keeps the
-    rows as they are. A record of the wrong width, or with a cell that
-    does not convert, raises the first error of the per-cell parse, with
-    its line and column. A file that is not UTF-8 is a `BadConfig`.
+    cell, and the store takes the converted rows as they are, with no
+    second check. A record of the wrong width is a `TypeMismatch` naming
+    the path and line; a cell that does not convert, DATE included, is a
+    `TypeMismatch` naming the path, line and column. A file that is not
+    UTF-8 is a `BadConfig`.
 
-    Records are converted one at a time as they are read, as the
-    per-cell parse did, so the kept TEXT cells of consecutive rows sit
-    together in memory. Converting 32 records per step saved about 0.09 s
-    on a 100k-row table, but a step's number strings then stay alive
-    until the next step is read, which spreads those cells out: select_scan
-    `query_rps` read about 2.5% lower.
+    Records are converted one at a time as they are read, so the kept
+    TEXT cells of consecutive rows sit together in memory. Converting 32
+    records per step saved about 0.09 s on a 100k-row table, but a step's
+    number strings then stay alive until the next step is read, which
+    spreads those cells out: select_scan `query_rps` read about 2.5% lower.
     """
     try:
         schema, rows = _read_csv(path)
     except UnicodeDecodeError as exc:
         raise BadConfig(f"{path}: table CSV is not UTF-8 ({exc.reason})") from None
-    return store.register_table(name, schema, rows)
+    store._check_new(name, schema)
+    return store._insert(name, schema, rows)
 
 
 def _read_csv(path) -> tuple[tuple[tuple[str, str], ...], list[tuple]]:
@@ -347,42 +321,24 @@ def _read_csv(path) -> tuple[tuple[tuple[str, str], ...], list[tuple]]:
         if len(names) != len(types):
             raise BadConfig(f"{path}: header rows disagree on column count")
         schema = tuple(zip([n.strip() for n in names], types))
-        converters = [
-            _DateCells().__getitem__ if typ == DATE else _CONVERTERS.get(typ, _unknown_type) for typ in types
-        ]
+        converters = [_converter(typ) for typ in types]
         rows: list[tuple] = []
         for line, record in enumerate(reader, start=3):
-            if len(record) == len(schema):
-                try:
-                    rows.append(tuple([convert(cell) for convert, cell in zip(converters, record)]))
-                    continue
-                except (ValueError, TypeMismatch):
-                    pass
-            _raise_first_error(path, schema, record, line)
+            if len(record) != len(schema):
+                raise TypeMismatch(f"{path} line {line}: expected {len(schema)} cells")
+            try:
+                rows.append(tuple([convert(cell) for convert, cell in zip(converters, record)]))
+            except (ValueError, TypeMismatch):
+                _raise_first_error(f"{path} line {line}", schema, converters, record)
     return schema, rows
 
 
-def _raise_first_error(path, schema: tuple[tuple[str, str], ...], record: list, line: int) -> NoReturn:
-    """Raise the first error the per-cell parse finds in CSV record `line`."""
-    if len(record) != len(schema):
-        raise TypeMismatch(f"{path} line {line}: expected {len(schema)} cells")
-    for cell, (col, typ) in zip(record, schema):
-        _parse_cell(cell, typ, f"{path} line {line} column {col}")
+def _raise_first_error(where: str, schema, converters, record: list) -> NoReturn:
+    """Raise the error of the first cell of `record` that does not convert,
+    as a `TypeMismatch` naming `where` and the cell's column."""
+    for (col, _), convert, cell in zip(schema, converters, record):
+        try:
+            convert(cell)
+        except (ValueError, TypeMismatch) as exc:
+            raise TypeMismatch(f"{where} column {col}: {exc}") from None
     raise AssertionError("unreachable: the record failed but no cell did")
-
-
-def _parse_cell(text: str, column_type: str, where: str):
-    try:
-        if column_type == "INT":
-            return int(text)
-        if column_type == "REAL":
-            return check_cell(float(text), "REAL", where)
-        if column_type == DATE:
-            return normalize_date(text.strip())
-        if column_type == "TEXT":
-            return text
-    except TypeMismatch:
-        raise
-    except ValueError as exc:
-        raise TypeMismatch(f"{where}: {exc}") from None
-    raise TypeMismatch(f"{where}: unknown column type {column_type!r}")

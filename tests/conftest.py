@@ -8,7 +8,8 @@ from hypothesis import settings
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contract_dsl import parse_contract
 from enclave_broker.contracts import activate
-from enclave_broker.model import DATE, INT, TEXT
+from enclave_broker.errors import TypeMismatch
+from enclave_broker.model import DATE, INT, TEXT, check_cell
 from enclave_broker.store import TableStore
 
 settings.register_profile("suite", deadline=None)
@@ -54,6 +55,18 @@ ORDERS_CSV = (
     "2,globex,250,2025-01-15\n"
     "3,acme,75,2025-02-01\n"
 )
+
+
+def append_row(store: TableStore, name: str, row: tuple) -> None:
+    """Append one row of Python values to a registered table, each cell
+    checked by `check_cell`, to show that later writes to the source
+    never reach a sealed segment."""
+    table = store._get(name)
+    if len(row) != len(table.schema):
+        raise TypeMismatch(f"{name}: expected {len(table.schema)} cells")
+    table.rows.append(
+        tuple(check_cell(cell, typ, f"{name}.{col}") for cell, (col, typ) in zip(row, table.schema))
+    )
 
 
 def orders_store() -> TableStore:

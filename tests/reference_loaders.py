@@ -104,7 +104,10 @@ def _parse_cell(text: str, column_type: str, where: str):
         if column_type == "REAL":
             return check_cell(float(text), "REAL", where)
         if column_type == DATE:
-            return days_to_date(date_to_days(text.strip()))
+            try:
+                return days_to_date(date_to_days(text.strip()))
+            except TypeMismatch as exc:
+                raise TypeMismatch(f"{where}: {exc}") from None
         if column_type == "TEXT":
             return text
     except TypeMismatch:

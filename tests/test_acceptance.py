@@ -57,7 +57,7 @@ from enclave_broker.query import RESERVED, parse_query, print_query
 from enclave_broker.server import BrokerServer
 from enclave_broker.store import TableStore
 
-from conftest import C1_TEXT, make_core
+from conftest import C1_TEXT, append_row, make_core
 
 
 @pytest.fixture
@@ -300,7 +300,7 @@ def _containment_trial(rng):
 
     # Serving never re-reads the store, and later writes stay invisible.
     assert store.reads == reads_after_provision
-    store.append_row("ns.data", tuple(_rand_cell(rng, types[c]) for c in all_cols))
+    append_row(store, "ns.data", tuple(_rand_cell(rng, types[c]) for c in all_cols))
     again = gw.execute(s, e, contract, text, 2)
     assert again.rows == expected_rows
     assert store.reads == reads_after_provision

@@ -8,7 +8,7 @@ from enclave_broker import audit as audit_mod
 from enclave_broker.broker import OPS, BrokerConfig, BrokerCore
 from enclave_broker.contracts import is_live
 from enclave_broker.enclave import CAUSE_BREAK_GLASS_AUTO, CAUSE_REVOCATION
-from enclave_broker.errors import BadConfig
+from enclave_broker.errors import BadConfig, StorageFailure
 
 from conftest import C1_TEXT, C1_SEGMENT_ROWS, make_core
 
@@ -167,6 +167,67 @@ def test_a_submit_the_ledger_cannot_record_leaves_no_contract(tmp_path, on_disk)
     if on_disk:
         assert list((tmp_path / "contracts").iterdir()) == []
     assert ok(core, "submit_contract", {"text": C1_TEXT})["contract_id"] == "c1"
+    core.close()
+
+
+def _submitted(core):
+    ok(core, "submit_contract", {"text": C1_TEXT})
+    return {"contract_id": "c1"}
+
+
+def _activated(core):
+    ok(core, "activate_contract", _submitted(core))
+    return {"contract_id": "c1"}
+
+
+def _expired(core):
+    _activated(core)
+    ok(core, "tick", {"seconds": 3600})
+    return None
+
+
+def _half_approved(core):
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    ok(core, "bg_approve", {"request_id": rid, "approver": "bob"})
+    return {"request_id": rid, "approver": "carol"}
+
+
+# Each op's setup returns the op's args.
+@pytest.mark.parametrize(
+    "setup,kind,op,contract_id",
+    [
+        (_submitted, audit_mod.CONTRACT_ACTIVATED, "activate_contract", "c1"),
+        (_activated, audit_mod.CONTRACT_REVOKED, "revoke_contract", "c1"),
+        (_expired, audit_mod.CONTRACT_EXPIRED, "sweep", "c1"),
+        (_half_approved, audit_mod.BREAK_GLASS_ACTIVATED, "bg_approve", "bg-incident-42"),
+    ],
+    ids=["activate", "revoke", "expire", "bg_activate"],
+)
+def test_a_contract_change_the_ledger_cannot_record_changes_nothing(tmp_path, setup, kind, op, contract_id):
+    core = make_core(tmp_path, bg_accounts=("alice", "bob", "carol"))
+    args = setup(core)
+    path = tmp_path / "contracts" / f"{contract_id}.json"
+
+    def state():
+        return (
+            core.contracts.get(contract_id),
+            path.read_bytes() if path.exists() else None,
+            dict(core.tokens),
+            {rid: req.status for rid, req in core.break_glass.requests.items()},
+        )
+
+    before = state()
+    append = core.ledger.append
+
+    def refuse(timestamp, actor, event_kind, payload):
+        if event_kind == kind:
+            raise StorageFailure("audit append failed: disk full")
+        return append(timestamp, actor, event_kind, payload)
+
+    core.ledger.append = refuse
+    assert err_code(call(core, op, args)) == "StorageFailure"
+    assert state() == before
+    assert kind not in [e.kind for e in core.ledger.events()]
     core.close()
 
 

@@ -29,7 +29,7 @@ from enclave_broker.errors import (
 )
 from enclave_broker.model import Comparison, Literal, Predicate
 
-from conftest import C1_SEGMENT_ROWS, orders_store
+from conftest import C1_SEGMENT_ROWS, append_row, orders_store
 from test_contracts import draft
 
 
@@ -234,7 +234,7 @@ def test_post_seal_digest_constant_until_destroy():
     store = orders_store()
     e, c, _ = serving(store)
     at_seal = segments_digest(e)
-    store.append_row("warehouse.orders", (7, "initech", 10, "2024-10-04"))
+    append_row(store, "warehouse.orders", (7, "initech", 10, "2024-10-04"))
     expire_or_revoke(e, CAUSE_EXPIRY, 9)
     assert segments_digest(e) == at_seal
     destroy(e, 10)

@@ -30,7 +30,7 @@ from enclave_broker.model import Comparison, Literal, Predicate, days_to_date
 from enclave_broker.query import parse_query
 from enclave_broker.store import TableStore
 
-from conftest import ORDERS_SCHEMA, orders_store
+from conftest import ORDERS_SCHEMA, append_row, orders_store
 from test_contracts import draft
 
 TOKEN = "tok-alpha"
@@ -289,7 +289,7 @@ def test_segment_not_source_serves_queries():
     gw, e, c, _ = rig(store=store)
     s = gw.open_session(e, c, TOKEN, TOKEN, 0)
     before = gw.execute(s, e, c, "SELECT * FROM orders", 0).rows
-    store.append_row("warehouse.orders", (4, "globex", 999, "2025-04-22"))
+    append_row(store, "warehouse.orders", (4, "globex", 999, "2025-04-22"))
     assert gw.execute(s, e, c, "SELECT * FROM orders", 0).rows == before
 
 

@@ -24,7 +24,7 @@ from enclave_broker.store import (
     scan,
 )
 
-from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, orders_store
+from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, append_row, orders_store
 from reference_loaders import ReferenceStore
 from reference_loaders import load_table_csv as reference_load_table_csv
 
@@ -104,7 +104,7 @@ def test_snapshot_isolation():
     store = orders_store()
     seg = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
     before = seg.rows
-    store.append_row("warehouse.orders", (9, "initech", 1, "2025-03-01"))
+    append_row(store, "warehouse.orders", (9, "initech", 1, "2025-03-01"))
     assert seg.rows == before
     fresh = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 1)
     assert len(fresh.rows) == len(before) + 1
@@ -206,6 +206,7 @@ def _loaded(load, store, path):
 
 @given(_csv_tables())
 @example((["d", "r"], [" DATE ", "REAL"], [[" 2024-02-29 ", " 3.25 "], ["2024-01-31", "2"]]))
+@example((["a", "d"], ["INT", "DATE"], [["1", "2024-01-31"], ["2", "2023-02-29"]]))
 def test_csv_load_matches_per_cell_reference(table):
     names, types, records = table
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,6 +221,9 @@ def test_csv_error_names_its_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,d\nINT,DATE\n" + "1,2024-01-01\n" * 5 + "x,2024-01-01\n", encoding="utf-8")
     with pytest.raises(TypeMismatch, match=r"line 8 column a: invalid literal"):
+        load_table_csv(TableStore(), "ns.t", path)
+    path.write_text("a,d\nINT,DATE\n1,2024-01-01\n2,2024-02-30\n", encoding="utf-8")
+    with pytest.raises(TypeMismatch, match=re.escape(f"{path} line 4 column d: bad DATE literal '2024-02-30'")):
         load_table_csv(TableStore(), "ns.t", path)
 
 
