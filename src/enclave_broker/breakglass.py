@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .contracts import DRAFT, ORIGIN_BREAK_GLASS, DataContract, validate_contract
 from .errors import (
@@ -46,8 +47,17 @@ class BreakGlassRequest:
     activated_contract_id: str | None = None
 
 
+Record = Callable[[BreakGlassRequest], None]
+
+
 class BreakGlassService:
-    """Request and approval state; the broker composes activation around it."""
+    """Request and approval state; the broker composes activation around it.
+
+    Each op that changes a request checks everything first, then calls
+    its `record` with the request, then commits. The broker's `record`
+    appends the op's ledger event, so a change the ledger refuses is
+    never made.
+    """
 
     def __init__(self, quorum: int = DEFAULT_QUORUM, activation_window: int = DEFAULT_ACTIVATION_WINDOW):
         if quorum < 2:
@@ -69,6 +79,7 @@ class BreakGlassService:
         justification: str,
         catalog: SchemaCatalog,
         now: int,
+        record: Record,
     ) -> BreakGlassRequest:
         if account_id not in self.accounts:
             raise UnknownAccount(f"no break-glass account {account_id!r}")
@@ -90,16 +101,20 @@ class BreakGlassService:
             quorum=self.quorum,
             activation_window=self.activation_window,
         )
+        record(req)
         self.requests[req.request_id] = req
         return req
 
-    def approve(self, request_id: str, approver: str, now: int) -> tuple[BreakGlassRequest, bool]:
+    def approve(
+        self, request_id: str, approver: str, now: int, record: Record
+    ) -> tuple[BreakGlassRequest, bool]:
         """Record one approval; returns (request, quorum_just_reached).
 
         Only registered accounts approve, the requester can never be an
         approver, and each approver counts once. Crossing the quorum flips
         nothing here by itself; the broker performs the activation in the
-        same atomic step.
+        same atomic step. `record` sees the request before the approval
+        is added.
         """
         req = self._get(request_id)
         if req.status != PENDING:
@@ -110,6 +125,7 @@ class BreakGlassService:
             raise SelfApproval("requester cannot approve their own request")
         if approver in req.approvals:
             raise DuplicateApproval(f"{approver} already approved {request_id}")
+        record(req)
         req.approvals.append(approver)
         return req, len(req.approvals) >= req.quorum
 
@@ -118,10 +134,11 @@ class BreakGlassService:
         req.status = ACTIVATED
         req.activated_contract_id = contract_id
 
-    def deny(self, request_id: str, now: int) -> BreakGlassRequest:
+    def deny(self, request_id: str, now: int, record: Record) -> BreakGlassRequest:
         req = self._get(request_id)
         if req.status != PENDING:
             raise StateError(f"request {request_id} is {req.status}")
+        record(req)
         req.status = DENIED
         return req
 

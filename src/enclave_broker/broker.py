@@ -351,33 +351,39 @@ class BrokerCore:
     def bg_request(self, account: str, template: str, justification: str = "") -> dict:
         parsed = parse_contract(template)
         self._check_new_id(parsed.contract_id)
+
+        def record(req: bg_mod.BreakGlassRequest) -> None:
+            self.emit(
+                account,
+                audit_mod.BREAK_GLASS_REQUESTED,
+                {
+                    "request_id": req.request_id,
+                    "account": account,
+                    "contract_id": parsed.contract_id,
+                    "justification": justification,
+                },
+            )
+
         req = self.break_glass.request_access(
-            account, parsed, justification, self.store.catalog(), self.clock.now()
-        )
-        self.emit(
-            account,
-            audit_mod.BREAK_GLASS_REQUESTED,
-            {
-                "request_id": req.request_id,
-                "account": account,
-                "contract_id": parsed.contract_id,
-                "justification": justification,
-            },
+            account, parsed, justification, self.store.catalog(), self.clock.now(), record
         )
         return {"request_id": req.request_id, "status": req.status, "quorum": req.quorum}
 
     def bg_approve(self, request_id: str, approver: str) -> dict:
-        req, quorum_reached = self.break_glass.approve(request_id, approver, self.clock.now())
-        self.emit(
-            approver,
-            audit_mod.BREAK_GLASS_APPROVED,
-            {
-                "request_id": request_id,
-                "approver": approver,
-                "approvals": len(req.approvals),
-                "quorum": req.quorum,
-            },
-        )
+        def record(req: bg_mod.BreakGlassRequest) -> None:
+            self.emit(
+                approver,
+                audit_mod.BREAK_GLASS_APPROVED,
+                {
+                    "request_id": request_id,
+                    "approver": approver,
+                    # The count with this approval, which is added next.
+                    "approvals": len(req.approvals) + 1,
+                    "quorum": req.quorum,
+                },
+            )
+
+        req, quorum_reached = self.break_glass.approve(request_id, approver, self.clock.now(), record)
         if not quorum_reached:
             return {"request_id": request_id, "status": req.status, "approvals": list(req.approvals)}
         return self._bg_activate(req)
@@ -415,12 +421,14 @@ class BrokerCore:
         }
 
     def bg_deny(self, request_id: str, operator: str = "operator") -> dict:
-        req = self.break_glass.deny(request_id, self.clock.now())
-        self.emit(
-            operator,
-            audit_mod.BREAK_GLASS_DENIED,
-            {"request_id": request_id, "account": req.account_id},
-        )
+        def record(req: bg_mod.BreakGlassRequest) -> None:
+            self.emit(
+                operator,
+                audit_mod.BREAK_GLASS_DENIED,
+                {"request_id": request_id, "account": req.account_id},
+            )
+
+        req = self.break_glass.deny(request_id, self.clock.now(), record)
         return {"request_id": request_id, "status": req.status}
 
     # ---------------- clock and sweep ----------------

@@ -66,7 +66,9 @@ class QueryResult:
     def to_json(self) -> dict:
         """Wire form. "rows" is the result's own tuple of row tuples,
         which JSON encodes as arrays; cells are already in their wire
-        form (DATE cells are ISO text), so no row is rebuilt."""
+        form (DATE cells are ISO text), so no row is rebuilt. Rows served
+        from a segment's wire form are `EncodedRows`, which also carry
+        their encoding for the reply writer to splice in."""
         return {"columns": list(self.columns), "rows": self.rows, "truncated": self.truncated}
 
 
@@ -151,23 +153,25 @@ class QueryGateway:
             token=presented_token,
             opened_at=now,
         )
-        self.sessions[s.session_id] = s
+        # The append is the commit point: a session the ledger cannot
+        # record is never registered.
         self._emit(
             contract.principal,
             SESSION_OPENED,
             {"session_id": s.session_id, "enclave_id": s.enclave_id, "contract_id": s.contract_id},
         )
+        self.sessions[s.session_id] = s
         return s
 
     def close_session(self, s: Session, actor: str) -> None:
         if s.closed:
             raise SessionDead(f"session {s.session_id} already closed")
-        s.closed = True
         self._emit(
             actor,
             SESSION_CLOSED,
             {"session_id": s.session_id, "enclave_id": s.enclave_id, "contract_id": s.contract_id},
         )
+        s.closed = True
 
     def invalidate_for_enclave(self, enclave_id: str) -> list[str]:
         """Called in the same atomic step as an enclave shutdown."""
@@ -232,14 +236,16 @@ class QueryGateway:
         schema = tuple(zip(segment.columns, segment.column_types))
         caps = [n for n in (ast.limit, grant.row_limit) if n is not None]
         cap = min(caps) if caps else None
+        match = compile_predicate(schema, ast.predicate)
+        picks = [seg_cols[c] for c in out_cols]
+        if picks == list(range(len(segment.columns))):
+            rows, truncated = segment.select_all(match, cap)
+            return QueryResult(tuple(out_cols), rows, truncated), ALLOW
         # One match past the cap is enough to know the result was cut.
-        matched = scan(
-            segment.rows, compile_predicate(schema, ast.predicate), None if cap is None else cap + 1
-        )
+        matched = scan(segment.rows, match, None if cap is None else cap + 1)
         truncated = cap is not None and len(matched) > cap
         if truncated:
             del matched[cap:]
-        picks = [seg_cols[c] for c in out_cols]
         rows = project(picks, len(segment.columns))(matched)
         return QueryResult(tuple(out_cols), rows, truncated), ALLOW
 

@@ -3,6 +3,7 @@
 One JSON Request per line in, one JSON Response per line out. A line
 that is not UTF-8 or not valid JSON gets a BadRequest response and the
 stream keeps going; the protocol itself never kills a connection.
+Every reply line is `canonical_json(response)` in UTF-8 plus a newline.
 """
 
 from __future__ import annotations
@@ -18,6 +19,27 @@ from .broker import BrokerConfig, BrokerCore
 from .canonical import canonical_json
 from .cli import table_arg
 from .clock import LOGICAL, WALL
+from .store import EncodedRows
+
+_EMPTY_ROWS = b'"rows":[]'
+
+
+def reply_line(response: dict) -> bytes:
+    """`canonical_json(response)` in UTF-8 plus a newline.
+
+    Result rows that carry their encoding (`EncodedRows`) are not encoded
+    again: the response is encoded with `"rows":[]` and their bytes are
+    spliced in between the brackets. "result" is the last key of a
+    response and "truncated" the only key after "rows" in a query
+    result, so the last `"rows":[]` in the line is the result's.
+    """
+    result = response.get("result")
+    rows = result.get("rows") if isinstance(result, dict) else None
+    if not isinstance(rows, EncodedRows):
+        return canonical_json(response).encode("utf-8") + b"\n"
+    line = canonical_json({**response, "result": {**result, "rows": []}}).encode("utf-8")
+    cut = line.rindex(_EMPTY_ROWS) + len(_EMPTY_ROWS) - 1
+    return b"".join((line[:cut], rows.wire, line[cut:], b"\n"))
 
 
 class BrokerServer:
@@ -67,7 +89,7 @@ class BrokerServer:
                 else:
                     response = self.core.handle(request)
                 try:
-                    conn.sendall(canonical_json(response).encode("utf-8") + b"\n")
+                    conn.sendall(reply_line(response))
                 except OSError:
                     return
 

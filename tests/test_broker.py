@@ -192,6 +192,29 @@ def _half_approved(core):
     return {"request_id": rid, "approver": "carol"}
 
 
+def _bg_template(core):
+    return {"account": "alice", "template": BG_TEMPLATE}
+
+
+def _requested(core):
+    rid = ok(core, "bg_request", _bg_template(core))["request_id"]
+    return {"request_id": rid, "approver": "bob"}
+
+
+def _requested_for_deny(core):
+    return {"request_id": _requested(core)["request_id"]}
+
+
+def _brokered(core):
+    token = ok(core, "activate_contract", _submitted(core))["token"]
+    enclave_id = ok(core, "broker_enclave", {"contract_id": "c1"})["enclave_id"]
+    return {"enclave_id": enclave_id, "token": token}
+
+
+def _opened(core):
+    return {"session_id": ok(core, "open_session", _brokered(core))["session_id"]}
+
+
 # Each op's setup returns the op's args.
 @pytest.mark.parametrize(
     "setup,kind,op,contract_id",
@@ -200,8 +223,23 @@ def _half_approved(core):
         (_activated, audit_mod.CONTRACT_REVOKED, "revoke_contract", "c1"),
         (_expired, audit_mod.CONTRACT_EXPIRED, "sweep", "c1"),
         (_half_approved, audit_mod.BREAK_GLASS_ACTIVATED, "bg_approve", "bg-incident-42"),
+        (_bg_template, audit_mod.BREAK_GLASS_REQUESTED, "bg_request", "bg-incident-42"),
+        (_requested, audit_mod.BREAK_GLASS_APPROVED, "bg_approve", "bg-incident-42"),
+        (_requested_for_deny, audit_mod.BREAK_GLASS_DENIED, "bg_deny", "bg-incident-42"),
+        (_brokered, audit_mod.SESSION_OPENED, "open_session", "c1"),
+        (_opened, audit_mod.SESSION_CLOSED, "close_session", "c1"),
     ],
-    ids=["activate", "revoke", "expire", "bg_activate"],
+    ids=[
+        "activate",
+        "revoke",
+        "expire",
+        "bg_activate",
+        "bg_request",
+        "bg_approve",
+        "bg_deny",
+        "open_session",
+        "close_session",
+    ],
 )
 def test_a_contract_change_the_ledger_cannot_record_changes_nothing(tmp_path, setup, kind, op, contract_id):
     core = make_core(tmp_path, bg_accounts=("alice", "bob", "carol"))
@@ -214,6 +252,7 @@ def test_a_contract_change_the_ledger_cannot_record_changes_nothing(tmp_path, se
             path.read_bytes() if path.exists() else None,
             dict(core.tokens),
             {rid: req.status for rid, req in core.break_glass.requests.items()},
+            {sid: s.closed for sid, s in core.gateway.sessions.items()},
         )
 
     before = state()
@@ -227,7 +266,16 @@ def test_a_contract_change_the_ledger_cannot_record_changes_nothing(tmp_path, se
     core.ledger.append = refuse
     assert err_code(call(core, op, args)) == "StorageFailure"
     assert state() == before
-    assert kind not in [e.kind for e in core.ledger.events()]
+    events = list(core.ledger.events())
+    assert kind not in [e.kind for e in events]
+    # Every approval the broker holds is one the ledger recorded.
+    held = [(rid, a) for rid, req in core.break_glass.requests.items() for a in req.approvals]
+    recorded = [
+        (e.payload["request_id"], e.payload["approver"])
+        for e in events
+        if e.kind == audit_mod.BREAK_GLASS_APPROVED
+    ]
+    assert held == recorded
     core.close()
 
 

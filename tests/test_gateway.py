@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from enclave_broker.broker import BrokerConfig, BrokerCore
+from enclave_broker.canonical import canonical_bytes
 from enclave_broker.contracts import Grant, activate
 from enclave_broker.enclave import (
     CAUSE_EXPIRY,
@@ -28,7 +29,7 @@ from enclave_broker.errors import (
 from enclave_broker.gateway import ALLOW, DenialError, QueryGateway, authorize, deny
 from enclave_broker.model import Comparison, Literal, Predicate, days_to_date
 from enclave_broker.query import parse_query
-from enclave_broker.store import TableStore
+from enclave_broker.store import EncodedRows, TableStore
 
 from conftest import ORDERS_SCHEMA, append_row, orders_store
 from test_contracts import draft
@@ -221,6 +222,67 @@ def test_limit_truncates_and_flags():
     result = gw.execute(s, e, c, "SELECT order_id FROM orders LIMIT 2", 0)
     assert result.rows == ((2,), (3,))
     assert not result.truncated
+
+
+def _thousand_row_rig():
+    store = TableStore()
+    rows = [(i, "acme", i % 97, days_to_date(20000 + i % 400)) for i in range(1000)]
+    store.register_table("warehouse.orders", ORDERS_SCHEMA, rows)
+    c = activate(draft(grants=(Grant("warehouse.orders", None),)), 0)
+    gw, e, _, _ = rig(c=c, store=store)
+    return gw, e, c, gw.open_session(e, c, TOKEN, TOKEN, 0)
+
+
+def test_wire_form_is_built_once_full_width_results_sent_the_segment():
+    gw, e, c, s = _thousand_row_rig()
+    segment = e.segments[0]
+    for _ in range(50):
+        gw.execute(s, e, c, "SELECT * FROM orders LIMIT 10", 0)
+    assert segment.wire.buf is None
+    # Projected and denied statements never count.
+    for text in (
+        "SELECT order_id FROM orders",
+        "SELECT customer, order_id, amount, created_at FROM orders",
+        "SELECT * FROM ghosts",
+        "COPY INTO s3://x FROM orders",
+    ):
+        try:
+            gw.execute(s, e, c, text, 0)
+        except DenialError:
+            pass
+    assert segment.wire.sent == 500
+    # All columns in segment order is a full-width result too.
+    gw.execute(s, e, c, "SELECT order_id, customer, amount, created_at FROM orders LIMIT 499", 0)
+    assert segment.wire.buf is None
+    unbuilt = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
+    assert segment.wire.sent == 1000
+    assert segment.wire.buf is not None
+    assert b"[" + segment.wire.buf + b"]" == canonical_bytes(segment.rows)
+    # Served from the wire form now: the same rows, carrying their bytes.
+    built = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
+    assert built == unbuilt
+    assert isinstance(built.rows, EncodedRows)
+    assert b"[" + bytes(built.rows.wire) + b"]" == canonical_bytes(built.rows)
+
+
+def test_wire_form_answers_match_the_scan_path():
+    gw, e, c, s = _thousand_row_rig()
+    texts = [
+        "SELECT * FROM orders",
+        "SELECT * FROM orders WHERE amount > 500",
+        "SELECT * FROM orders WHERE amount = 5",
+        "SELECT * FROM orders WHERE amount > 90 LIMIT 30",
+        "SELECT * FROM orders WHERE order_id >= 100 AND order_id < 200",
+        "SELECT * FROM orders WHERE order_id >= 990 LIMIT 10",
+        'SELECT * FROM orders WHERE customer = "globex"',
+        "SELECT * FROM orders WHERE created_at >= 2025-01-01",
+    ]
+    before = [gw.execute(s, e, c, text, 0) for text in texts]
+    assert e.segments[0].wire.buf is not None
+    after = [gw.execute(s, e, c, text, 0) for text in texts]
+    assert after == before
+    for result in after:
+        assert b"[" + bytes(result.rows.wire) + b"]" == canonical_bytes(result.rows)
 
 
 class _CountingRows(tuple):

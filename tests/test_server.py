@@ -11,7 +11,9 @@ import pytest
 
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_json
-from enclave_broker.server import BrokerServer
+from enclave_broker.model import DATE, INT, REAL, TEXT, days_to_date
+from enclave_broker.server import BrokerServer, reply_line
+from enclave_broker.store import EncodedRows, TableStore
 
 from conftest import C1_TEXT, make_core
 
@@ -249,3 +251,81 @@ def test_stop_removes_socket_and_start_reclaims_stale(tmp_path):
             assert conn.call("sweep")["ok"]
     finally:
         second.stop()
+
+
+_HOSTILE = ("],[", '"q"', "back\\slash", "ctl\x01\x1f\t\n\r\x7f", "héllo", "日本", "\U0001f600", " ", "plain")
+_HOSTILE_ROWS = [
+    (i, _HOSTILE[i % len(_HOSTILE)], (-1) ** i * i * 0.5, days_to_date(19000 + i % 7)) for i in range(60)
+]
+_HOSTILE_CONTRACT = """
+contract "ch" {
+  principal "p"
+  purpose "hostile text on the wire"
+  expires_in 1h
+  grant {
+    source ns.hostile
+    columns *
+    row_limit 25
+  }
+}
+"""
+# (statement, output columns, the rows it keeps, its LIMIT), answered by
+# plain Python over _HOSTILE_ROWS; the grant caps every answer at 25 rows.
+_COLS = ("id", "label", "score", "d")
+_HOSTILE_STATEMENTS = (
+    ("SELECT * FROM hostile", _COLS, lambda r: True, None),
+    ("SELECT * FROM hostile WHERE id >= 10 AND id < 20", _COLS, lambda r: 10 <= r[0] < 20, None),
+    ('SELECT * FROM hostile WHERE label = "],["', _COLS, lambda r: r[1] == "],[", None),
+    ("SELECT * FROM hostile WHERE score > 0 LIMIT 4", _COLS, lambda r: r[2] > 0, 4),
+    ("SELECT * FROM hostile WHERE id > 1000", _COLS, lambda r: False, None),
+    ("SELECT id, label, score, d FROM hostile WHERE id >= 30", _COLS, lambda r: r[0] >= 30, None),
+    ("SELECT label, id FROM hostile WHERE score < 0 LIMIT 7", ("label", "id"), lambda r: r[2] < 0, 7),
+    ("SELECT d FROM hostile", ("d",), lambda r: True, None),
+)
+
+
+def _oracle(columns, keep, limit) -> dict:
+    matched = [r for r in _HOSTILE_ROWS if keep(r)]
+    n = min([len(matched), 25] + ([limit] if limit is not None else []))
+    picks = [_COLS.index(col) for col in columns]
+    return {
+        "columns": list(columns),
+        "rows": [[r[i] for i in picks] for r in matched[:n]],
+        "truncated": n < len(matched),
+    }
+
+
+def test_spliced_replies_are_the_canonical_bytes(tmp_path):
+    store = TableStore()
+    store.register_table("ns.hostile", tuple(zip(_COLS, (INT, TEXT, REAL, DATE))), _HOSTILE_ROWS)
+    core = BrokerCore(BrokerConfig(), store=store)
+    srv = BrokerServer(core, str(tmp_path / "h.sock")).start()
+    try:
+        with Conn(srv.endpoint) as conn:
+            assert conn.call("submit_contract", {"text": _HOSTILE_CONTRACT})["ok"]
+            token = conn.call("activate_contract", {"contract_id": "ch"})["result"]["token"]
+            enclave_id = conn.call("broker_enclave", {"contract_id": "ch"})["result"]["enclave_id"]
+            session_id = conn.call("open_session", {"enclave_id": enclave_id}, token=token)["result"]["session_id"]
+            raw = conn.sock.makefile("rb")
+            # Four rounds: the full-width answers send the segment's 60
+            # rows within the first round, so later rounds are spliced.
+            for _ in range(4):
+                for text, columns, keep, limit in _HOSTILE_STATEMENTS:
+                    conn.n += 1
+                    request = {"op": "query", "id": conn.n, "args": {"session_id": session_id, "text": text}}
+                    conn.send_raw((json.dumps(request) + "\n").encode("utf-8"))
+                    want = {"id": conn.n, "ok": True, "result": _oracle(columns, keep, limit)}
+                    assert raw.readline() == canonical_json(want).encode("utf-8") + b"\n", text
+            raw.close()
+        assert core.enclaves[enclave_id].segments[0].wire.buf is not None
+    finally:
+        srv.stop()
+
+
+def test_reply_line_splices_encoded_rows_as_canonical_json():
+    rows = ((1, "],[\"rows\":[]"), (2, "é"))
+    wire = b",".join(canonical_json(row).encode("utf-8") for row in rows)
+    for req_id in (7, "x", {"rows": []}, ['"rows":[]']):
+        for encoded in (EncodedRows(rows, wire), EncodedRows((), b"")):
+            response = {"id": req_id, "ok": True, "result": {"columns": ["a", "b"], "rows": encoded, "truncated": True}}
+            assert reply_line(response) == canonical_json(response).encode("utf-8") + b"\n"

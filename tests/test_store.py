@@ -6,6 +6,7 @@ import csv
 import enum
 import re
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from enclave_broker.broker import BrokerConfig, BrokerCore
+from enclave_broker.canonical import canonical_bytes, encode_each
 from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
 from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
@@ -20,8 +22,10 @@ from enclave_broker.store import (
     TableStore,
     compile_predicate,
     eval_predicate,
+    WireForm,
     load_table_csv,
     scan,
+    scan_positions,
 )
 
 from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, append_row, orders_store
@@ -474,3 +478,46 @@ def test_date_column_compares_day_counts(data):
 
     expected = [row for row in rows if all(holds(row[1], c) for c in comps)]
     assert scan(rows, compile_predicate(_DATE_SCHEMA, Predicate(tuple(comps)))) == expected
+
+
+# ---- the wire form ----
+
+_WIRE_CELLS = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(("],[", '"', "\\", "\x00\x1f\n", "héllo", " ", "日本")),
+)
+
+
+@given(
+    st.lists(st.tuples(_WIRE_CELLS, _WIRE_CELLS), max_size=12),
+    st.data(),
+)
+def test_wire_form_splices_the_canonical_encoding_of_any_positions(rows, data):
+    rows = tuple(rows)
+    wire = WireForm()
+    wire.count_sent(rows, len(rows))
+    assert b"[" + wire.buf + b"]" == canonical_bytes(rows)
+    hits = sorted(data.draw(st.sets(st.integers(0, max(0, len(rows) - 1)), max_size=len(rows))))
+    for picked in (hits, range(len(rows)), range(len(rows) // 2, len(rows))):
+        spliced = wire.splice(rows, picked)
+        assert spliced == tuple(rows[i] for i in picked)
+        assert b"[" + bytes(spliced.wire) + b"]" == canonical_bytes([rows[i] for i in picked])
+
+
+def test_scan_positions_agrees_with_scan():
+    rows = tuple((i, i % 7) for i in range(50))
+    match = compile_predicate((("a", "INT"), ("b", "INT")), Predicate((Comparison("b", "=", Literal.integer(3)),)))
+    for limit in (None, 0, 1, 4, 100):
+        assert [rows[i] for i in scan_positions(rows, match, limit)] == scan(rows, match, limit)
+        assert list(scan_positions(rows, None, limit)) == list(range(50 if limit is None else min(50, limit)))
+
+
+def test_encode_each_across_steps():
+    # More items than one encoding step, so steps join with a comma too.
+    items = [(i, "é" * (i % 3), i / 7) for i in range(2500)]
+    buf, starts, ends = encode_each(items)
+    assert b"[" + buf + b"]" == canonical_bytes(items)
+    assert [buf[s:e] for s, e in zip(starts, ends)] == [canonical_bytes(item) for item in items]
+    assert encode_each([]) == (b"", array("q"), array("q"))
