@@ -144,9 +144,6 @@ class AuditLedger:
         with self._reader() as fh:
             return [AuditEvent(*(obj[f] for f in _FIELDS)) for obj in _records(fh, self._path)]
 
-    def last_hash(self) -> str:
-        return self._last
-
     def append(self, timestamp: int, actor: str, kind: str, payload: dict) -> AuditEvent:
         if kind not in KINDS:
             raise StorageFailure(f"unknown audit kind {kind!r}")

@@ -108,13 +108,18 @@ class BreakGlassService:
     def approve(
         self, request_id: str, approver: str, now: int, record: Record
     ) -> tuple[BreakGlassRequest, bool]:
-        """Record one approval; returns (request, quorum_just_reached).
+        """Record one approval; returns (request, quorum_met).
 
         Only registered accounts approve, the requester can never be an
-        approver, and each approver counts once. Crossing the quorum flips
+        approver, and each approver counts once. Meeting the quorum flips
         nothing here by itself; the broker performs the activation in the
         same atomic step. `record` sees the request before the approval
         is added.
+
+        A request still Pending with its quorum met is one whose
+        activation the ledger refused. A repeat approval of it records
+        nothing and returns `quorum_met` again, so the broker retries the
+        activation; without that, only a further distinct account could.
         """
         req = self._get(request_id)
         if req.status != PENDING:
@@ -124,6 +129,8 @@ class BreakGlassService:
         if approver == req.account_id:
             raise SelfApproval("requester cannot approve their own request")
         if approver in req.approvals:
+            if len(req.approvals) >= req.quorum:
+                return req, True
             raise DuplicateApproval(f"{approver} already approved {request_id}")
         record(req)
         req.approvals.append(approver)

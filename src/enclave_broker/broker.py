@@ -184,16 +184,6 @@ class BrokerCore:
             self.tokens[principal] = secrets.token_hex(16)
         return self.tokens[principal]
 
-    def live_grants(self, now: int | None = None):
-        """Every grant of every live contract; empty after a full sweep."""
-        now = self.clock.now() if now is None else now
-        out = []
-        for c in self.contracts.values():
-            if is_live(c, now):
-                for g in c.grants:
-                    out.append((c.contract_id, g))
-        return out
-
     # ---------------- the event path ----------------
 
     def emit(self, actor: str, kind: str, payload: dict) -> AuditEvent:
@@ -383,8 +373,8 @@ class BrokerCore:
                 },
             )
 
-        req, quorum_reached = self.break_glass.approve(request_id, approver, self.clock.now(), record)
-        if not quorum_reached:
+        req, quorum_met = self.break_glass.approve(request_id, approver, self.clock.now(), record)
+        if not quorum_met:
             return {"request_id": request_id, "status": req.status, "approvals": list(req.approvals)}
         return self._bg_activate(req)
 

@@ -19,7 +19,7 @@ from .enclave import SERVING, EnclaveInstance
 from .errors import BadToken, BrokerError, ContractExpired, EnclaveNotServing, ParseError, SessionDead
 from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
-from .store import compile_predicate, project, scan
+from .store import compile_predicate, project
 from .store import eval_predicate  # noqa: F401  benches/spans.py RowCounter patches this name
 
 DENY_UNKNOWN_TABLE = "UnknownTable"
@@ -236,17 +236,13 @@ class QueryGateway:
         schema = tuple(zip(segment.columns, segment.column_types))
         caps = [n for n in (ast.limit, grant.row_limit) if n is not None]
         cap = min(caps) if caps else None
-        match = compile_predicate(schema, ast.predicate)
+        match, terms = compile_predicate(schema, ast.predicate)
         picks = [seg_cols[c] for c in out_cols]
         if picks == list(range(len(segment.columns))):
-            rows, truncated = segment.select_all(match, cap)
+            rows, truncated = segment.select_all(terms, match, cap)
             return QueryResult(tuple(out_cols), rows, truncated), ALLOW
-        # One match past the cap is enough to know the result was cut.
-        matched = scan(segment.rows, match, None if cap is None else cap + 1)
-        truncated = cap is not None and len(matched) > cap
-        if truncated:
-            del matched[cap:]
-        rows = project(picks, len(segment.columns))(matched)
+        hits, truncated = segment.matches(terms, match, cap)
+        rows = project(picks, len(segment.columns))(segment.rows_at(hits))
         return QueryResult(tuple(out_cols), rows, truncated), ALLOW
 
     def _report(

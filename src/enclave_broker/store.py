@@ -1,12 +1,15 @@
 """Source-of-truth tables, contract-scoped segment extraction, and the
-one scan path that both extraction and the gateway run.
+access paths that extraction and the gateway run.
 
 The store is the only component that ever sees full tables. Everything
 downstream works on Segments: filtered, projected, point-in-time
-snapshots cut to exactly what one grant allows. A segment that has sent
-its rows often enough in full-width results also keeps their canonical
-JSON (`WireForm`); its full-width scans then yield row positions
-(`scan_positions`, the same matcher and stop) to splice that JSON by.
+snapshots cut to exactly what one grant allows. Extraction scans the
+source table once. A segment answers each statement with the ascending
+positions of its matching rows (`Segment.matches`), from a scan or from
+a sorted order of one column that it builds once its scans have paid
+for it (`ColumnOrders`). A segment that has sent its rows often enough
+in full-width results also keeps their canonical JSON (`WireForm`), and
+splices that JSON by those positions.
 
 Cells are checked once, by one check per input form. A table CSV's text
 cells go through its column converters as they are read, and each bad
@@ -18,11 +21,14 @@ column. Rows of Python values given to `register_table` go through
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import operator
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, islice
-from typing import Callable, Iterable, NoReturn, Sequence
+from itertools import compress, islice, repeat
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .canonical import encode_each
 from .contracts import Grant
@@ -103,6 +109,151 @@ class WireForm:
         return EncodedRows(map(rows.__getitem__, hits), b",".join(map(self.buf.__getitem__, spans)))
 
 
+class ColumnOrders:
+    """A segment's access paths: per column, the rows its scans have
+    examined so far, or a built order of its rows.
+
+    A built order holds the row positions sorted by one column's value,
+    ties in row order: an `array('i')`, 4 B per row, or `range(n)` when
+    the rows already are in that order. Each `=`, `<`, `<=`, `>` and
+    `>=` term on that column narrows one window of the order by `bisect`,
+    so a statement learns the exact count `w` of rows that meet them
+    without reading any. `!=` terms, and numbers compared with a DATE
+    cell's day count, never narrow; they and the terms on other columns
+    are tested on the gathered rows only.
+
+    The path is chosen per statement (after Selinger et al., "Access
+    Path Selection in a Relational Database Management System", SIGMOD
+    1979). The scan costs about `n` rows, or about `stop * n / w` when a
+    LIMIT cuts it short, so `LIMIT 10` at 50% still scans about 20 rows.
+    The order costs about `w`, to sort the window back into row order,
+    and nothing when the window already is in row order (a `range`
+    order, or a window of every row). The cheaper one runs. Either way
+    the positions come out ascending.
+
+    Building an order costs about two full scans: on a 20k-row segment,
+    sorting by one INT, REAL, DATE or TEXT column took 5-7 ms (1.3 ms to
+    find a column already in row order), and a scan of a two-term window,
+    the common shape, 3.1-4.1 ms; a one-term scan took 1.1-1.9 ms. So a
+    column's order is built only once scans whose predicate has an
+    orderable term on that column have examined `_BUILD_SCANS` times the
+    segment's rows: the ski-rental rule of `WireForm` again. A scan that a LIMIT stops examines only up
+    to its last hit, and an index lookup, a denied statement or a
+    statement with no orderable term counts nothing.
+    """
+
+    __slots__ = ("_by_column",)
+
+    def __init__(self):
+        # column index -> rows examined so far (int), or the built order.
+        self._by_column: dict[int, int | Sequence[int]] = {}
+
+    def built(self, column: int) -> bool:
+        return not isinstance(self._by_column.get(column, 0), int)
+
+    def positions(
+        self, rows: Sequence[tuple], terms: Sequence[Term], match: Matcher | None, stop: int | None = None
+    ) -> Sequence[int]:
+        """The positions of the rows that `match` accepts, ascending,
+        stopping after `stop` of them; `terms` are `match`'s terms."""
+        n = len(rows)
+        columns = {i for i, op, _ in terms if op in _NARROW}
+        best = None
+        for i in columns:
+            if self.built(i):
+                lo, hi = _window(self._by_column[i], rows, i, terms)
+                if best is None or hi - lo < best[2] - best[1]:
+                    best = (i, lo, hi)
+        if best is not None:
+            i, lo, hi = best
+            order, w = self._by_column[i], hi - lo
+            # The order when its cost is below min(n, stop * n / w); a
+            # window already in row order costs nothing.
+            if w == n or isinstance(order, range) or stop is None or w * w < stop * n:
+                # A window of every row holds every position, in row order.
+                window = range(n) if w == n else order[lo:hi]
+                rest = [t for t in terms if t[0] != i or t[1] not in _NARROW]
+                return _gather(window, rows, rest, stop)
+        hits = scan_positions(rows, terms, match, stop)
+        examined = n
+        if stop is not None and len(hits) == stop:
+            # The LIMIT stopped the scan at its last hit.
+            examined = hits[-1] + 1 if hits else 0
+        for i in columns:
+            if not self.built(i):
+                self._count(rows, i, examined)
+        return hits
+
+    def _count(self, rows: Sequence[tuple], column: int, examined: int) -> None:
+        seen = self._by_column.get(column, 0) + examined
+        if seen < _BUILD_SCANS * len(rows):
+            self._by_column[column] = seen
+            return
+        cells = [row[column] for row in rows]
+        if all(map(operator.le, cells, islice(cells, 1, None))):
+            self._by_column[column] = range(len(rows))
+        else:
+            self._by_column[column] = array("i", sorted(range(len(rows)), key=cells.__getitem__))
+
+
+# Scans of one column, in rows examined per row held, that pay for
+# building its order; see `ColumnOrders`.
+_BUILD_SCANS = 2
+
+# How each operator an order can answer narrows a window [lo, hi) of
+# that order: the bisect that finds the new lo, and the one that finds
+# the new hi.
+_NARROW = {
+    operator.eq: (bisect_left, bisect_right),
+    operator.lt: (None, bisect_left),
+    operator.le: (None, bisect_right),
+    operator.gt: (bisect_right, None),
+    operator.ge: (bisect_left, None),
+}
+
+
+def _window(order: Sequence[int], rows: Sequence[tuple], column: int, terms: Sequence[Term]) -> tuple[int, int]:
+    """The window [lo, hi) of `order`, the positions sorted by `column`,
+    whose rows meet every term on that column that an order answers."""
+
+    def key(pos: int):
+        return rows[pos][column]
+
+    lo, hi = 0, len(order)
+    for i, op, value in terms:
+        if i == column and op in _NARROW:
+            low, high = _NARROW[op]
+            if low is not None:
+                lo = low(order, value, lo, hi, key=key)
+            if high is not None:
+                hi = high(order, value, lo, hi, key=key)
+    return lo, hi
+
+
+def _gather(window: Sequence[int], rows: Sequence[tuple], rest: list[Term], stop: int | None) -> Sequence[int]:
+    """The positions in `window` whose rows meet the `rest` terms,
+    ascending, stopping after `stop` of them.
+
+    A LIMIT that keeps under a tenth of the window takes the smallest
+    positions by heap: on 20k rows, 11 of 2000 took 0.1 ms that way
+    against 0.3 ms to sort, but 1001 of 10000 took 2.8 ms against 2.1.
+    """
+    if not isinstance(window, range):
+        if not rest and stop is not None and stop * 10 < len(window):
+            return heapq.nsmallest(stop, window)
+        window = sorted(window)
+    if not rest:
+        return window if stop is None else window[:stop]
+    return list(islice(compress(window, _mask(_rows_at(rows, window), rest)), stop))
+
+
+def _rows_at(rows: Sequence[tuple], hits: Sequence[int]) -> tuple[tuple, ...]:
+    """The rows at positions `hits`, in that order."""
+    if isinstance(hits, range):
+        return rows[hits.start : hits.stop]
+    return tuple(map(rows.__getitem__, hits))
+
+
 @dataclass(frozen=True)
 class Segment:
     """A snapshot slice of one table, scoped by one grant.
@@ -110,8 +261,9 @@ class Segment:
     The segment is its own tuple of immutable row tuples and holds no
     store handle, so no later change to the source table can show up
     in it; it carries everything the gateway needs after provisioning.
-    Its `wire` form is a cache of those rows' encoding, never a second
-    copy of the data the gateway could read.
+    Its `wire` form is a cache of those rows' encoding, and its `orders`
+    hold row positions only; neither is a second copy of the data the
+    gateway could read.
     """
 
     origin: str  # qualified source table name
@@ -120,30 +272,44 @@ class Segment:
     rows: tuple[tuple, ...]
     extracted_at: int
     wire: WireForm = field(default_factory=WireForm, init=False, repr=False, compare=False)
+    orders: ColumnOrders = field(default_factory=ColumnOrders, init=False, repr=False, compare=False)
 
-    def select_all(self, match: Matcher | None, cap: int | None) -> tuple[tuple[tuple, ...], bool]:
+    def matches(
+        self, terms: Sequence[Term], match: Matcher | None, cap: int | None
+    ) -> tuple[Sequence[int], bool]:
+        """The positions of the rows that `match` accepts, ascending, cut to
+        `cap`; and whether the cut dropped any. `terms` are the ones
+        `compile_predicate` compiled `match` from."""
+        # One match past the cap is enough to know the result was cut.
+        hits = self.orders.positions(self.rows, terms, match, None if cap is None else cap + 1)
+        if cap is not None and len(hits) > cap:
+            return hits[:cap], True
+        return hits, False
+
+    def rows_at(self, hits: Sequence[int]) -> tuple[tuple, ...]:
+        """The rows at positions `hits`, in that order."""
+        return _rows_at(self.rows, hits)
+
+    def select_all(
+        self, terms: Sequence[Term], match: Matcher | None, cap: int | None
+    ) -> tuple[tuple[tuple, ...], bool]:
         """Every column of the rows that `match` accepts, in order, cut to
         `cap` rows; and whether the cut dropped any.
 
-        Once the wire form exists, the scan yields positions and the
-        rows come with their encodings spliced from it; until then the
-        scan is `scan`'s, and the rows sent count toward the build.
+        Once the wire form exists, the rows come with their encodings
+        spliced from it; until then the rows sent count toward the build.
         """
-        # One match past the cap is enough to know the result was cut.
-        stop = None if cap is None else cap + 1
+        hits, truncated = self.matches(terms, match, cap)
         if self.wire.buf is None:
-            rows = scan(self.rows, match, stop)
-            truncated = cap is not None and len(rows) > cap
-            if truncated:
-                del rows[cap:]
+            rows = self.rows_at(hits)
             self.wire.count_sent(self.rows, len(rows))
-            return tuple(rows), truncated
-        hits = scan_positions(self.rows, match, stop)
-        truncated = cap is not None and len(hits) > cap
-        return self.wire.splice(self.rows, hits[:cap] if truncated else hits), truncated
+            return rows, truncated
+        return self.wire.splice(self.rows, hits), truncated
 
 
 Matcher = Callable[[tuple], bool]
+# One compiled conjunct: (column index, operator function, literal).
+Term = tuple[int, Callable[[object, object], bool], object]
 
 # Each query operator as a function of (cell, literal).
 _OPS = {
@@ -165,15 +331,20 @@ def _on_day_count(op: Callable) -> Callable:
     return lambda cell, number: op(date_to_days(cell), number)
 
 
-def compile_predicate(schema: tuple[tuple[str, str], ...], p: Predicate | None) -> Matcher | None:
-    """Compile `p` against rows laid out by `schema`; None matches every row.
+def compile_predicate(
+    schema: tuple[tuple[str, str], ...], p: Predicate | None
+) -> tuple[Matcher | None, tuple[Term, ...]]:
+    """Compile `p` against rows laid out by `schema`, in one pass, into a
+    matcher (None matches every row) and the terms it tests.
 
     Column indexes and operators are resolved here, once, into one
-    (index, operator function, literal) term per conjunct. Cells are
-    type-checked at load, so the column type fixes each cell's value
-    family: a comparison across families (TEXT against a number) or on a
-    column the schema lacks can never hold, and the whole predicate
-    becomes a matcher that rejects every row without reading any.
+    (index, operator function, literal) term per conjunct. The matcher
+    tests one row at a time, as extraction does; a segment's access paths
+    test the terms a column at a time (`ColumnOrders`). Cells are type-checked at load, so the column
+    type fixes each cell's value family: a comparison across families
+    (TEXT against a number) or on a column the schema lacks can never
+    hold, and the whole predicate becomes a matcher that rejects every
+    row without reading any, with no terms.
 
     DATE cells are normalized ISO text, which sorts in day order, so a
     DATE literal on a DATE column becomes that text and compares with
@@ -181,16 +352,16 @@ def compile_predicate(schema: tuple[tuple[str, str], ...], p: Predicate | None) 
     with each cell's day count, which is parsed per row.
     """
     if p is None or not p.conjuncts:
-        return None
+        return None, ()
     index = {col: (i, typ) for i, (col, typ) in enumerate(schema)}
     terms = []
     for comp in p.conjuncts:
         if comp.column not in index:
-            return _match_nothing
+            return _match_nothing, ()
         i, typ = index[comp.column]
         kind, op, value = comp.literal.kind, _OPS[comp.op], comp.literal.value
         if (typ == TEXT) != (kind == TEXT):
-            return _match_nothing
+            return _match_nothing, ()
         if typ == DATE:
             if kind == DATE:
                 value = days_to_date(value)
@@ -200,7 +371,7 @@ def compile_predicate(schema: tuple[tuple[str, str], ...], p: Predicate | None) 
     if len(terms) == 1:
         # A scan calls the matcher once per row; one term needs no loop.
         ((i, op, value),) = terms
-        return lambda row: op(row[i], value)
+        return (lambda row: op(row[i], value)), tuple(terms)
 
     def match(row: tuple) -> bool:
         for i, op, value in terms:
@@ -208,12 +379,12 @@ def compile_predicate(schema: tuple[tuple[str, str], ...], p: Predicate | None) 
                 return False
         return True
 
-    return match
+    return match, tuple(terms)
 
 
 def eval_predicate(row: tuple, schema: tuple[tuple[str, str], ...], p: Predicate | None) -> bool:
     """Does `row` (laid out by `schema`) satisfy every conjunct of `p`?"""
-    match = compile_predicate(schema, p)
+    match, _ = compile_predicate(schema, p)
     return match is None or match(row)
 
 
@@ -225,18 +396,39 @@ def scan(rows: Iterable[tuple], match: Matcher | None, limit: int | None = None)
     return list(hits if limit is None else islice(hits, limit))
 
 
-def scan_positions(rows: Sequence[tuple], match: Matcher | None, limit: int | None = None) -> Sequence[int]:
+def scan_positions(
+    rows: Sequence[tuple], terms: Sequence[Term], match: Matcher | None, limit: int | None = None
+) -> Sequence[int]:
     """The positions of the rows that `match` accepts, ascending, stopping
-    after `limit` of them; a range when every row matches."""
+    after `limit` of them; a range when every row matches. The rows are
+    tested by `terms`, the terms `match` was compiled from (`_mask`)."""
     if match is _match_nothing:
         return []
     if match is None:
         return range(len(rows) if limit is None else min(len(rows), limit))
-    hits = compress(range(len(rows)), map(match, rows))
+    hits = compress(range(len(rows)), _mask(rows, terms))
     return list(hits if limit is None else islice(hits, limit))
 
 
-def project(picks: list[int], width: int) -> Callable[[list[tuple]], tuple[tuple, ...]]:
+def _mask(rows: Sequence[tuple], terms: Sequence[Term]) -> Iterator[bool]:
+    """Whether each of `rows` meets every one of `terms` (at least one),
+    lazily, in row order.
+
+    Each term is one C-level `map` down its column, and the terms' maps
+    are joined by `and_`, so no row costs a Python call. A position scan
+    creates an int per row, which made it a quarter slower than
+    `filter` with a matcher on 100k rows; these maps more than repay
+    that, and halved a two-term window's scan of 20k rows (2.7 ms
+    against 4.8 ms with the matcher). `rows` is read once per term.
+    """
+    oks = None
+    for i, op, value in terms:
+        term = map(op, map(operator.itemgetter(i), rows), repeat(value))
+        oks = term if oks is None else map(operator.and_, oks, term)
+    return oks
+
+
+def project(picks: list[int], width: int) -> Callable[[Iterable[tuple]], tuple[tuple, ...]]:
     """A function that cuts rows of `width` cells down to the `picks` columns.
 
     Rows are immutable tuples, so when `picks` keeps every column in
@@ -315,7 +507,8 @@ class TableStore:
                 raise StateError(f"grant names column {col!r} absent from {name}; validate first")
         picks = [index[col] for col in wanted]
         types = [schema[i][1] for i in picks]
-        matched = scan(table.rows, compile_predicate(schema, g.row_predicate))
+        match, _ = compile_predicate(schema, g.row_predicate)
+        matched = scan(table.rows, match)
         rows = project(picks, len(schema))(matched)
         return Segment(
             origin=name,

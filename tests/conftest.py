@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contract_dsl import parse_contract
-from enclave_broker.contracts import activate
+from enclave_broker.contracts import activate, is_live
 from enclave_broker.errors import TypeMismatch
 from enclave_broker.model import DATE, INT, TEXT, check_cell
 from enclave_broker.store import TableStore
@@ -78,6 +78,12 @@ def orders_store() -> TableStore:
 def make_core(data_dir=None, **overrides) -> BrokerCore:
     config = BrokerConfig(data_dir=str(data_dir) if data_dir else None, **overrides)
     return BrokerCore(config, store=orders_store())
+
+
+def live_grants(core: BrokerCore) -> list:
+    """Every (contract id, grant) of every live contract; empty after a full sweep."""
+    now = core.clock.now()
+    return [(c.contract_id, g) for c in core.contracts.values() if is_live(c, now) for g in c.grants]
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ from enclave_broker.query import RESERVED, parse_query, print_query
 from enclave_broker.server import BrokerServer
 from enclave_broker.store import TableStore
 
-from conftest import C1_TEXT, append_row, make_core
+from conftest import C1_TEXT, append_row, live_grants, make_core
 
 
 @pytest.fixture
@@ -428,7 +428,7 @@ def test_temporal_soundness(verdict):
         assert swept["expired_enclaves"] == [enclave_id]
         code = fail_code(core, "query", {"session_id": session_id, "text": "SELECT * FROM orders"})
         assert code == "ContractExpired"
-        assert core.live_grants() == []
+        assert live_grants(core) == []
 
 
 # ---------------------------------------------------- audit tamper evidence
@@ -568,7 +568,7 @@ def test_break_glass_quorum(verdict):
         assert e.state == "Expired" and e.transitions[-1].cause == CAUSE_BREAK_GLASS_AUTO
         code = fail_code(core, "query", {"session_id": session_id, "text": "SELECT * FROM orders"})
         assert code == "ContractExpired"
-        assert core.live_grants() == []
+        assert live_grants(core) == []
         elapsed = time.monotonic() - started
         assert elapsed < 5, f"flow took {elapsed:.1f}s"
 

@@ -172,9 +172,14 @@ def test_garbage_line_detected(tmp_path):
     assert verify_file(path) == 3
 
 
+def _last_hash(ledger: AuditLedger) -> str:
+    """The hash the ledger's next append chains to, as its open left it."""
+    return ledger._last
+
+
 def _next_line(ledger: AuditLedger, payload: dict) -> bytes:
     """The line the ledger's next append would write, without its newline."""
-    seq, prev = len(ledger), ledger.last_hash()
+    seq, prev = len(ledger), _last_hash(ledger)
     digest = compute_hash(seq, seq, "late", KINDS[0], payload, prev)
     event = {
         "seq": seq,
@@ -374,7 +379,7 @@ def test_open_matches_the_event_list_load(lines, torn):
     def reopened(path):
         ledger = AuditLedger(path)
         ledger.close()
-        return len(ledger), ledger.last_hash()
+        return len(ledger), _last_hash(ledger)
 
     def reference(path):
         events = load_events(path)

@@ -10,7 +10,7 @@ from enclave_broker.contracts import is_live
 from enclave_broker.enclave import CAUSE_BREAK_GLASS_AUTO, CAUSE_REVOCATION
 from enclave_broker.errors import BadConfig, StorageFailure
 
-from conftest import C1_TEXT, C1_SEGMENT_ROWS, make_core
+from conftest import C1_TEXT, C1_SEGMENT_ROWS, live_grants, make_core
 
 BG_TEMPLATE = """
 contract "bg-incident-42" {
@@ -415,7 +415,7 @@ def test_expiry_is_lazy_and_sweep_settles_it():
     assert swept == {"expired": ["c1"], "expired_enclaves": [enclave_id], "bg_auto_revoked": []}
     assert core.contracts["c1"].status == "Expired"
     assert core.enclaves[enclave_id].state == "Expired"
-    assert core.live_grants() == []
+    assert live_grants(core) == []
     # Sweeping again finds nothing.
     assert ok(core, "sweep") == {"expired": [], "expired_enclaves": [], "bg_auto_revoked": []}
 
@@ -468,7 +468,7 @@ def test_restart_never_resurrects_expired_access(tmp_path):
     core.close()
 
     reborn = make_core(data_dir=tmp_path)
-    assert reborn.live_grants() == []
+    assert live_grants(reborn) == []
     swept = ok(reborn, "sweep")
     assert swept["expired"] == ["c1"]
     assert reborn.contracts["c1"].status == "Expired"
@@ -476,7 +476,7 @@ def test_restart_never_resurrects_expired_access(tmp_path):
 
     third = make_core(data_dir=tmp_path)
     assert third.contracts["c1"].status == "Expired"
-    assert third.live_grants() == []
+    assert live_grants(third) == []
     third.close()
 
 
@@ -534,6 +534,32 @@ def test_break_glass_full_flow():
         audit_mod.ALERT_RAISED,
     ):
         assert needed in kinds
+
+
+def test_repeat_approval_retries_an_activation_the_ledger_refused():
+    core = bg_core()
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    ok(core, "bg_approve", {"request_id": rid, "approver": "bob"})
+    append = core.ledger.append
+
+    def refuse(timestamp, actor, kind, payload):
+        if kind == audit_mod.BREAK_GLASS_ACTIVATED:
+            raise StorageFailure("audit append failed: disk full")
+        return append(timestamp, actor, kind, payload)
+
+    core.ledger.append = refuse
+    assert err_code(call(core, "bg_approve", {"request_id": rid, "approver": "carol"})) == "StorageFailure"
+    assert core.break_glass.requests[rid].status == "Pending"
+    core.ledger.append = append
+    # No account is left to approve, so only a repeat can activate it.
+    final = ok(core, "bg_approve", {"request_id": rid, "approver": "bob"})
+    assert final["status"] == "Activated"
+    assert final["approvals"] == ["bob", "carol"]
+    assert core.enclaves[final["enclave_id"]].state == "Serving"
+    kinds = [e.kind for e in core.ledger.events()]
+    assert kinds.count(audit_mod.BREAK_GLASS_APPROVED) == 2
+    assert kinds.count(audit_mod.BREAK_GLASS_ACTIVATED) == 1
+    assert err_code(call(core, "bg_approve", {"request_id": rid, "approver": "carol"})) == "StateError"
 
 
 def test_break_glass_rejects_unregistered_approvers():

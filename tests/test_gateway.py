@@ -224,11 +224,11 @@ def test_limit_truncates_and_flags():
     assert not result.truncated
 
 
-def _thousand_row_rig():
+def _thousand_row_rig(grant=Grant("warehouse.orders", None)):
     store = TableStore()
     rows = [(i, "acme", i % 97, days_to_date(20000 + i % 400)) for i in range(1000)]
     store.register_table("warehouse.orders", ORDERS_SCHEMA, rows)
-    c = activate(draft(grants=(Grant("warehouse.orders", None),)), 0)
+    c = activate(draft(grants=(grant,)), 0)
     gw, e, _, _ = rig(c=c, store=store)
     return gw, e, c, gw.open_session(e, c, TOKEN, TOKEN, 0)
 
@@ -283,6 +283,84 @@ def test_wire_form_answers_match_the_scan_path():
     assert after == before
     for result in after:
         assert b"[" + bytes(result.rows.wire) + b"]" == canonical_bytes(result.rows)
+
+
+def _built(e, column: str) -> bool:
+    segment = e.segments[0]
+    return segment.orders.built(segment.columns.index(column))
+
+
+def test_a_column_order_is_built_once_scans_examined_twice_its_rows():
+    gw, e, c, s = _thousand_row_rig()
+    gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 0", 0)  # 1000 rows
+    # amount = 27 at rows 27, 124, ..., 997: the 11th match stops a LIMIT 10.
+    gw.execute(s, e, c, "SELECT order_id FROM orders WHERE amount = 27 LIMIT 10", 0)  # 998
+    assert not _built(e, "amount")
+    gw.execute(s, e, c, "SELECT order_id FROM orders WHERE amount <= 1 LIMIT 1", 0)  # 2
+    assert _built(e, "amount")
+    assert not any(_built(e, col) for col in ("order_id", "customer", "created_at"))
+
+
+def test_denied_and_unorderable_statements_count_nothing_toward_an_order():
+    gw, e, c, s = _thousand_row_rig(Grant("warehouse.orders", ("order_id", "amount", "created_at")))
+    for _ in range(5):
+        for text in (
+            "SELECT customer FROM orders WHERE amount > 0",
+            "SELECT * FROM ghosts WHERE amount > 0",
+            "SELECT order_id FROM orders WHERE amount != 5",
+            "SELECT order_id FROM orders WHERE created_at > 20100",
+            'SELECT order_id FROM orders WHERE amount = "5"',
+        ):
+            try:
+                gw.execute(s, e, c, text, 0)
+            except DenialError:
+                pass
+    gw.execute(s, e, c, "SELECT order_id FROM orders WHERE amount >= 0", 0)
+    assert not _built(e, "amount")
+    gw.execute(s, e, c, "SELECT order_id FROM orders WHERE amount >= 0 AND created_at != 2025-01-01", 0)
+    assert _built(e, "amount")
+    assert not _built(e, "created_at")
+
+
+def test_a_restart_shaped_stream_builds_no_order():
+    # Per column, one full scan and one that its LIMIT stops at 100 rows:
+    # 1.1 times the rows in all, short of the two full scans a build costs.
+    gw, e, c, s = _thousand_row_rig()
+    for col, full, stopped in (
+        ("order_id", "order_id < 10", "order_id >= 0"),
+        ("amount", "amount < 3", "amount >= 0"),
+        ("customer", 'customer = "globex"', 'customer >= ""'),
+        ("created_at", "created_at < 2024-10-01", "created_at >= 2024-01-01"),
+    ):
+        gw.execute(s, e, c, f"SELECT * FROM orders WHERE {full}", 0)
+        gw.execute(s, e, c, f"SELECT order_id FROM orders WHERE {stopped} LIMIT 99", 0)
+        assert not _built(e, col)
+
+
+def test_results_are_the_same_before_and_after_orders_are_built():
+    grant = Grant("warehouse.orders", None, None, 40)
+    texts = [
+        "SELECT * FROM orders WHERE amount >= 10 AND amount < 12",
+        "SELECT order_id, amount FROM orders WHERE amount > 90 LIMIT 30",
+        "SELECT * FROM orders WHERE amount = 5 AND order_id >= 500",
+        "SELECT order_id FROM orders WHERE order_id >= 100 AND order_id <= 120",
+        "SELECT * FROM orders WHERE created_at >= 2024-10-04 AND created_at < 2024-10-06",
+        "SELECT amount FROM orders WHERE created_at > 20100 AND amount <= 1",
+        "SELECT * FROM orders WHERE amount >= 0 LIMIT 5",
+        "SELECT * FROM orders WHERE amount >= 0",
+        "SELECT * FROM orders WHERE amount != 3 AND amount < 4",
+    ]
+    # One statement on a fresh segment is always a scan.
+    scanned = []
+    for text in texts:
+        gw, e, c, s = _thousand_row_rig(grant)
+        scanned.append(gw.execute(s, e, c, text, 0))
+    assert [r.truncated for r in scanned] == [False, True, False, False, False, False, True, True, False]
+    assert len(scanned[4].rows) == 6
+    gw, e, c, s = _thousand_row_rig(grant)
+    for _ in range(4):
+        assert [gw.execute(s, e, c, text, 0) for text in texts] == scanned
+    assert all(_built(e, col) for col in ("order_id", "amount", "created_at"))
 
 
 class _CountingRows(tuple):

@@ -19,6 +19,8 @@ from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
 from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
 from enclave_broker.store import (
+    ColumnOrders,
+    Segment,
     TableStore,
     compile_predicate,
     eval_predicate,
@@ -399,7 +401,7 @@ def test_extract_segment_matches_oracle(rows, columns, pred):
 
 @given(_rows, _preds, st.one_of(st.none(), st.integers(0, 70)))
 def test_compiled_scan_matches_oracle(rows, pred, limit):
-    match = compile_predicate(_SCHEMA, pred)
+    match, _ = compile_predicate(_SCHEMA, pred)
     expected = [row for row in rows if _oracle_match(row, pred)]
     assert scan(rows, match, limit) == expected[:limit]
     for row in rows:
@@ -417,7 +419,7 @@ def test_impossible_predicate_reads_no_rows():
         Comparison("absent", ">", Literal.integer(0)),
     ):
         pred = Predicate((Comparison("w", ">", Literal.integer(0)), comp))
-        assert scan(Unreadable(), compile_predicate(_SCHEMA, pred), None) == []
+        assert scan(Unreadable(), compile_predicate(_SCHEMA, pred)[0], None) == []
 
 
 # ---- DATE columns: ISO text cells, compared by day count ----
@@ -477,7 +479,7 @@ def test_date_column_compares_day_counts(data):
         }[comp.op]
 
     expected = [row for row in rows if all(holds(row[1], c) for c in comps)]
-    assert scan(rows, compile_predicate(_DATE_SCHEMA, Predicate(tuple(comps)))) == expected
+    assert scan(rows, compile_predicate(_DATE_SCHEMA, Predicate(tuple(comps)))[0]) == expected
 
 
 # ---- the wire form ----
@@ -508,10 +510,112 @@ def test_wire_form_splices_the_canonical_encoding_of_any_positions(rows, data):
 
 def test_scan_positions_agrees_with_scan():
     rows = tuple((i, i % 7) for i in range(50))
-    match = compile_predicate((("a", "INT"), ("b", "INT")), Predicate((Comparison("b", "=", Literal.integer(3)),)))
+    match, terms = compile_predicate((("a", "INT"), ("b", "INT")), Predicate((Comparison("b", "=", Literal.integer(3)),)))
     for limit in (None, 0, 1, 4, 100):
-        assert [rows[i] for i in scan_positions(rows, match, limit)] == scan(rows, match, limit)
-        assert list(scan_positions(rows, None, limit)) == list(range(50 if limit is None else min(50, limit)))
+        assert [rows[i] for i in scan_positions(rows, terms, match, limit)] == scan(rows, match, limit)
+        assert list(scan_positions(rows, (), None, limit)) == list(range(50 if limit is None else min(50, limit)))
+
+
+# ---- access paths: a column's sorted order answers as the scan does ----
+
+_real_literals = st.sampled_from((-1.5, 0.0, 2.5, 3.25)).map(Literal.real)
+_date_literals_z = st.integers(18983, 19032).map(lambda d: Literal.date(days_to_date(d)))
+
+
+def _between(column, literals):
+    """`column` above one literal and below another: a window."""
+    return st.builds(
+        lambda low, lo, high, hi: (Comparison(column, low, lo), Comparison(column, high, hi)),
+        st.sampled_from((">", ">=")),
+        literals,
+        st.sampled_from(("<", "<=")),
+        literals,
+    )
+
+
+_windows = st.one_of(
+    _between("w", _int_literals),
+    _between("y", _int_literals),
+    _between("r", _real_literals),
+    _between("x", _text_literals),
+    _between("z", _date_literals_z),
+)
+_path_preds = st.one_of(
+    _preds,
+    st.builds(lambda win, rest: Predicate(win + tuple(rest)), _windows, st.lists(_comparisons, max_size=2)),
+)
+# One orderable term per column, met by every row the strategies draw.
+_EVERY_ROW = (
+    Comparison("w", ">=", Literal.integer(-100)),
+    Comparison("x", ">=", Literal.text("")),
+    Comparison("y", ">=", Literal.integer(-100)),
+    Comparison("z", ">=", Literal.date("0001-01-01")),
+    Comparison("r", ">=", Literal.real(-100.0)),
+)
+
+
+def _build_every_order(orders: ColumnOrders, rows) -> None:
+    """Build each column's order by the rule: two full scans with an
+    orderable term on it."""
+    for comp in _EVERY_ROW:
+        match, terms = compile_predicate(_SCHEMA, Predicate((comp,)))
+        for _ in range(2):
+            orders.positions(rows, terms, match)
+    assert all(orders.built(i) for i in range(len(_COLS)))
+
+
+@given(
+    _rows,
+    _path_preds,
+    st.one_of(st.none(), st.integers(0, 70)),
+    st.one_of(st.none(), st.integers(0, 70)),
+)
+def test_sorted_orders_answer_as_the_scan_does(rows, pred, limit, row_limit):
+    seg = Segment("ns.t", _COLS, _TYPES, tuple(rows), 0)
+    _build_every_order(seg.orders, seg.rows)
+    match, terms = compile_predicate(_SCHEMA, pred)
+    caps = [n for n in (limit, row_limit) if n is not None]
+    cap = min(caps) if caps else None
+    every = list(scan_positions(seg.rows, terms, match))
+    assert every == [i for i, row in enumerate(rows) if _oracle_match(row, pred)]
+    hits, truncated = seg.matches(terms, match, cap)
+    assert list(hits) == every[:cap]
+    assert truncated == (cap is not None and len(every) > cap)
+
+
+class _Unscannable(tuple):
+    """Rows that refuse to be scanned; looking one up by position is fine."""
+
+    def __iter__(self):
+        raise AssertionError("the scan read the rows")
+
+
+def test_a_window_on_a_built_order_reads_no_row_outside_it():
+    rows = tuple((k % 7, "t", k, days_to_date(19000 + k % 30), k / 4) for k in range(200))
+    orders = ColumnOrders()
+    _build_every_order(orders, rows)
+    for pred, expected in (
+        ((Comparison("y", ">=", Literal.integer(50)), Comparison("y", "<", Literal.integer(60))), list(range(50, 60))),
+        ((Comparison("w", "=", Literal.integer(3)), Comparison("y", "!=", Literal.integer(3))), list(range(10, 200, 7))),
+        ((Comparison("z", "=", Literal.date(days_to_date(19004))),), list(range(4, 200, 30))),
+        ((Comparison("r", ">", Literal.real(49.0)),), list(range(197, 200))),
+    ):
+        match, terms = compile_predicate(_SCHEMA, Predicate(pred))
+        assert list(orders.positions(_Unscannable(rows), terms, match)) == expected
+    # `!=` and a day count on a DATE column never narrow an order: the scan runs.
+    for comp in (Comparison("y", "!=", Literal.integer(3)), Comparison("z", "<", Literal.integer(19001))):
+        match, terms = compile_predicate(_SCHEMA, Predicate((comp,)))
+        with pytest.raises(AssertionError, match="the scan read the rows"):
+            orders.positions(_Unscannable(rows), terms, match)
+
+
+def test_a_column_already_in_row_order_costs_no_memory_and_no_sort():
+    rows = tuple((k // 3, "t", 0, "2022-01-01", 0.0) for k in range(90))
+    orders = ColumnOrders()
+    _build_every_order(orders, rows)
+    match, terms = compile_predicate(_SCHEMA, Predicate((Comparison("w", ">=", Literal.integer(10)),)))
+    # The LIMIT reads two rows, though the window holds sixty.
+    assert orders.positions(_Unscannable(rows), terms, match, 2) == range(30, 32)
 
 
 def test_encode_each_across_steps():
