@@ -16,16 +16,19 @@ cleanup() {
 trap cleanup EXIT
 
 export ENCLAVE_BROKER_ENDPOINT="$WORK/broker.sock"
-enclave-brokerd \
-  --endpoint "$ENCLAVE_BROKER_ENDPOINT" \
-  --data-dir "$WORK/state" \
-  --table warehouse.orders=data/orders.csv &
-BROKER_PID=$!
-for _ in $(seq 50); do
-  [ -S "$ENCLAVE_BROKER_ENDPOINT" ] && break
-  sleep 0.1
-done
-[ -S "$ENCLAVE_BROKER_ENDPOINT" ] || { echo "broker did not start" >&2; exit 3; }
+start_broker() {
+  enclave-brokerd \
+    --endpoint "$ENCLAVE_BROKER_ENDPOINT" \
+    --data-dir "$WORK/state" \
+    --table warehouse.orders=data/orders.csv &
+  BROKER_PID=$!
+  for _ in $(seq 50); do
+    [ -S "$ENCLAVE_BROKER_ENDPOINT" ] && break
+    sleep 0.1
+  done
+  [ -S "$ENCLAVE_BROKER_ENDPOINT" ] || { echo "broker did not start" >&2; exit 3; }
+}
+start_broker
 
 echo "== provision scoped access =="
 enclave-broker contract submit reporting.contract
@@ -48,4 +51,17 @@ enclave-broker alerts
 echo
 echo "== the audit trail =="
 enclave-broker audit export
-enclave-broker audit verify
+BEFORE=$(enclave-broker audit verify)
+echo "$BEFORE"
+[[ "$BEFORE" == "Ok ("*" events)" ]] || { echo "unexpected verdict: $BEFORE" >&2; exit 1; }
+
+echo
+echo "== the same trail, checked by a fresh broker =="
+# The first verify after a start checks every line from byte 0.
+kill "$BROKER_PID"
+wait "$BROKER_PID" || true
+rm -f "$ENCLAVE_BROKER_ENDPOINT"  # a killed broker leaves its socket file
+start_broker
+AFTER=$(enclave-broker audit verify)
+echo "$AFTER"
+[ "$AFTER" = "$BEFORE" ] || { echo "after the restart: $AFTER; before: $BEFORE" >&2; exit 1; }

@@ -10,6 +10,24 @@ Persistence is JSON-Lines: one canonically encoded event per line, in
 `audit.log` or, with no data dir, in an in-memory buffer that the same
 code reads and writes. Opening the log checks that every line is a
 readable event but not the chain, which only `verify` checks.
+
+The hash rule is defined on a line's bytes: an event's hash is the
+SHA-256 of its line with the trailing newline and the first
+`,"hash":"<64 hex>"` cut out. Keys are sorted, so in every line
+`append` writes `hash` is the second key, right after `actor`'s string;
+and every quote inside a string is escaped, so `,"` never occurs inside
+a value. The cut therefore leaves exactly the canonical body that
+`compute_hash` hashes, and verification needs one SHA-256 per line and
+no re-encode. A line that is not canonical but whose hash is over its
+own cut bytes verifies too: the chain has no key, so whoever could
+write such a line could rewrite the whole chain anyway. A genuine line
+re-serialized (other whitespace, key order or escapes) does not, since
+the rule pins bytes, not meaning. A repeated key, at any depth, makes a
+line bad, so every parser reads the same event from accepted bytes.
+(If the first match were not the top-level field, the cut bytes would
+still hold the top-level hash, which would then have to equal their own
+SHA-256.)
+
 Verification works on the raw bytes. The only thing it trusts is a
 SHA-256 digest it computed itself, in this process, over the part of the
 file it already checked: if those bytes still hash to that digest, they
@@ -92,6 +110,12 @@ class AuditEvent:
 
 
 def compute_hash(seq: int, timestamp: int, actor: str, kind: str, payload: dict, prev_hash: str) -> str:
+    """The SHA-256 of the event's canonical body, which `append` stores.
+
+    It is also the hash of the line `append` writes under the byte rule
+    that verification applies: the line's SHA-256 with its newline and
+    the first `,"hash":"<64 hex>"` cut out (see the module docstring).
+    """
     body = {
         "seq": seq,
         "timestamp": timestamp,
@@ -100,10 +124,6 @@ def compute_hash(seq: int, timestamp: int, actor: str, kind: str, payload: dict,
         "payload": payload,
         "prev_hash": prev_hash,
     }
-    return _body_hash(body)
-
-
-def _body_hash(body: dict) -> str:
     return hashlib.sha256(canonical_bytes(body)).hexdigest()
 
 
@@ -177,22 +197,46 @@ class AuditLedger:
 
 
 _FIELDS = ("seq", "timestamp", "actor", "kind", "payload", "prev_hash", "hash")
-_BODY = _FIELDS[:-1]
+_FIELD_SET = frozenset(_FIELDS)
+_HASH_KEY = b',"hash":"'
+_HASH_AT = len(_HASH_KEY)  # the hash's first hex digit, from the key's start
+_HASH_CUT = _HASH_AT + 64 + 1  # the key, 64 hex digits and the closing quote
 
 
-def _check_line(obj, position: int, prev_hash: str) -> str | None:
-    """Returns the event's hash if the line is sound at `position`, else None."""
-    if not isinstance(obj, dict) or any(f not in obj for f in _FIELDS):
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated key")
+    return obj
+
+
+# Reads a line as a verify must: a key repeated at any depth is a
+# ValueError, like any other line that is not one JSON value.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _check_line(raw: bytes, obj, position: int, prev_hash: str) -> str | None:
+    """Returns the event's hash if the line is sound at `position`, else None.
+
+    `obj` is `raw` parsed by `_DECODER`. The hash must be the SHA-256 of
+    `raw` with its newline and first `,"hash":"<64 hex>"` cut out, and
+    the cut must be that hash.
+    """
+    if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
         return None
-    if obj["seq"] != position:
-        return None
-    if obj["prev_hash"] != prev_hash:
+    if obj["seq"] != position or obj["prev_hash"] != prev_hash:
         return None
     if not isinstance(obj["payload"], dict):
         return None
-    if obj["hash"] != _body_hash({f: obj[f] for f in _BODY}):
+    at = raw.find(_HASH_KEY)
+    if at < 0:
         return None
-    return obj["hash"]
+    h = hashlib.sha256(raw[:at])
+    h.update(raw[at + _HASH_CUT : len(raw) - raw.endswith(b"\n")])
+    digest = h.hexdigest()
+    if obj["hash"] != digest or not raw.startswith(digest.encode("ascii") + b'"', at + _HASH_AT):
+        return None
+    return digest
 
 
 @dataclass(frozen=True)
@@ -233,18 +277,19 @@ def _verify_lines(fh, memo: _Memo) -> tuple[int | None, _Memo]:
     `memo` vouches for (from byte 0 if it no longer does); returns the
     first bad seq or None, and the memo of the good lines read so far.
 
-    Any line that fails to decode, parse, or chain is bad.
+    Any line that fails to decode, parse, or chain is bad, an integer too
+    long to read and JSON nested too deep included, as at the open.
     """
     h, memo = _resume(fh, memo)
     offset, position, prev = memo.offset, memo.seq, memo.prev
     bad = None
     for raw in fh:
         try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            obj = _DECODER.decode(raw.decode("utf-8"))
+        except (ValueError, RecursionError):
             bad = position
             break
-        chained = _check_line(obj, position, prev)
+        chained = _check_line(raw, obj, position, prev)
         if chained is None:
             bad = position
             break

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -172,6 +173,191 @@ def test_garbage_line_detected(tmp_path):
     assert verify_file(path) == 3
 
 
+# JSON that the parser refuses with something other than a JSONDecodeError:
+# an integer past the int-to-str digit limit (a ValueError) and nesting
+# past the recursion limit (a RecursionError).
+_UNREADABLE = (
+    b'{"actor":"a","payload":{"n":' + b"9" * 5000 + b"}}",
+    b"[" * 100_000,
+)
+
+
+@pytest.mark.parametrize("line", _UNREADABLE, ids=["long-int", "deep"])
+def test_unreadable_line_is_bad_at_its_seq(tmp_path, line):
+    path = make_file(tmp_path, 6)
+    ledger = AuditLedger(str(path))
+    try:
+        assert ledger.verify() is None
+        with open(path, "ab") as fh:
+            fh.write(line + b"\n")
+        assert verify_file(path) == 6
+        assert ledger.verify() == 6
+    finally:
+        ledger.close()
+
+
+def _raw_hash_line(obj_text: str) -> bytes:
+    """`obj_text` with `,"hash":"<h>"` put after its first member, where h
+    is the SHA-256 of `obj_text`'s bytes: self-consistent under the byte
+    rule whatever its spacing, key order or escapes."""
+    body = obj_text.encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest()
+    at = body.index(b",")  # the end of the first member
+    return body[:at] + b',"hash":"' + digest.encode() + b'"' + body[at:]
+
+
+def _body_text(ledger: AuditLedger, payload: str, extra: str = "") -> str:
+    """A non-canonical body for the ledger's next event: keys out of
+    order, spaces after separators, `payload` spliced in as written."""
+    seq, prev = len(ledger), _last_hash(ledger)
+    return (
+        f'{{"actor": "late", "seq": {seq}, "kind": "{KINDS[0]}", '
+        f'"prev_hash": "{prev}", "timestamp": {seq}, "payload": {payload}{extra}}}'
+    )
+
+
+def test_self_consistent_non_canonical_line_verifies(tmp_path):
+    path = make_file(tmp_path, 4)
+    ledger = AuditLedger(str(path))
+    text = _body_text(ledger, '{"b": 1, "a": "\\u00e9"}')
+    ledger.close()
+    line = _raw_hash_line(text)
+    with open(path, "ab") as fh:
+        fh.write(line + b"\n")
+    assert line != canonical_json(json.loads(line)).encode("utf-8")
+    assert verify_file(path) is None
+    # The next append chains from it, like from any accepted line.
+    again = AuditLedger(str(path))
+    fill(again, 2)
+    assert again.verify() is None
+    again.close()
+    assert verify_file(path) is None
+
+
+_PRE_BYTE_RULE = Path(__file__).parent / "data" / "ledger_pre12.log"
+
+
+def _escape_first_hash_digit(raw: bytes) -> bytes:
+    at = raw.index(b',"hash":"') + len(b',"hash":"')
+    return raw[:at] + b"\\u%04x" % raw[at] + raw[at + 1 :]
+
+
+_RE_SERIALIZED = {
+    "spaces-and-ascii-escapes": lambda raw: json.dumps(json.loads(raw)).encode("utf-8"),
+    "inner-space": lambda raw: canonical_json(json.loads(raw)).replace('{"actor"', '{ "actor"', 1).encode("utf-8"),
+    "reversed-keys": lambda raw: json.dumps(
+        dict(reversed(json.loads(raw).items())), ensure_ascii=False, separators=(",", ":")
+    ).encode("utf-8"),
+    "escaped-hash-digit": _escape_first_hash_digit,
+}
+
+
+@pytest.mark.parametrize("how", sorted(_RE_SERIALIZED))
+def test_re_serialized_genuine_line_is_bad(tmp_path, how):
+    # The same event read back and written another way: the byte rule
+    # pins bytes, not meaning. Line 3 holds non-ASCII text and escapes.
+    lines = _PRE_BYTE_RULE.read_bytes().splitlines()
+    changed = _RE_SERIALIZED[how](lines[3])
+    assert changed != lines[3] and json.loads(changed) == json.loads(lines[3])
+    lines[3] = changed
+    path = tmp_path / "audit.log"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert verify_file(path) == 3
+
+
+@pytest.mark.parametrize(
+    "payload, extra",
+    [
+        ('{"i": 1, "i": 2}', ""),  # a key repeated inside payload
+        ('{"i": 1}', ', "actor": "late"'),  # ...at the top level
+        ('{"i": {"j": [{"k": 1, "k": 1}]}}', ""),  # ...deeper, with equal values
+        ('{"i": 1}', ', "note": 1'),  # an eighth key
+        ("[1]", ""),  # a payload that is not an object
+    ],
+)
+def test_self_consistent_line_that_is_not_one_event_is_bad(tmp_path, payload, extra):
+    path = make_file(tmp_path, 3)
+    ledger = AuditLedger(str(path))
+    text = _body_text(ledger, payload, extra)
+    ledger.close()
+    with open(path, "ab") as fh:
+        fh.write(_raw_hash_line(text) + b"\n")
+    assert verify_file(path) == 3
+
+
+def test_the_cut_must_hold_the_hash_it_checks():
+    # A parsed hash that matches the cut bytes is not enough: the 64
+    # digits cut out must be that hash, or the cut could take in part of
+    # a longer, escaped hash field and leave its tail in the hashed bytes.
+    ledger = AuditLedger()
+    fill(ledger, 1)
+    raw = ledger._fh.getvalue()
+    obj = json.loads(raw)
+    assert audit._check_line(raw, obj, 0, GENESIS) == obj["hash"]
+    assert audit._check_line(raw.replace(obj["hash"].encode(), b"0" * 64), obj, 0, GENESIS) is None
+
+
+_TRICKY = (
+    ',"hash":"' + "0" * 64 + '"',
+    'back\\slash \\" and \\u0041',
+    "ctl \x00\x07\t\n\r\x1f",
+    "é 日本 \U0001f512 \u2028",
+)
+
+
+def test_tricky_payloads_verify(tmp_path):
+    path = tmp_path / "audit.log"
+    ledger = AuditLedger(str(path))
+    for i, text in enumerate(_TRICKY):
+        ledger.append(i, text, KINDS[i], {"a": text, "hash": "f" * 64, "n": {"a": 1, "hash": text}, text: [text]})
+    assert ledger.verify() is None
+    ledger.close()
+    assert verify_file(path) is None
+    assert b',"hash":"' in path.read_bytes().splitlines()[0].split(b'"payload"')[1]
+
+
+def test_ledger_written_before_the_byte_rule_verifies():
+    # Written by `append` while verification still re-encoded each event
+    # canonically: 40 events of all 15 kinds, with escapes, control
+    # characters, non-ASCII text and nested `hash` keys.
+    assert verify_file(_PRE_BYTE_RULE) is None
+    ledger = AuditLedger(str(_PRE_BYTE_RULE))
+    try:
+        assert len(ledger) == 40
+        assert {e.kind for e in ledger.events()} == set(KINDS)
+        assert ledger.verify() is None
+    finally:
+        ledger.close()
+
+
+_JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(
+    events=st.lists(
+        st.tuples(st.integers(0, 2**53), _JSON_TEXT, st.sampled_from(KINDS), st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_byte_rule_gives_compute_hash_for_every_appended_line(events):
+    ledger = AuditLedger()
+    written = [ledger.append(*event) for event in events]
+    lines = ledger._fh.getvalue().splitlines(keepends=True)
+    prev = GENESIS
+    for event, raw in zip(written, lines):
+        obj = audit._DECODER.decode(raw.decode("utf-8"))
+        expected = compute_hash(event.seq, event.timestamp, event.actor, event.kind, event.payload, event.prev_hash)
+        assert audit._check_line(raw, obj, event.seq, prev) == expected == event.hash
+        prev = expected
+    assert ledger.verify() is None
+
+
 def _last_hash(ledger: AuditLedger) -> str:
     """The hash the ledger's next append chains to, as its open left it."""
     return ledger._last
@@ -197,7 +383,11 @@ _MUTATIONS = st.one_of(
     st.tuples(st.just("flip"), st.floats(0, 1, exclude_max=True), st.integers(0, 7)),
     st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
     st.tuples(st.just("insert"), st.floats(0, 1), st.binary(min_size=1, max_size=1)),
-    st.tuples(st.just("garbage"), st.binary(max_size=20).filter(lambda b: b"\n" not in b)),
+    st.tuples(
+        st.just("garbage"),
+        st.binary(max_size=20).filter(lambda b: b"\n" not in b)
+        | st.sampled_from((b"9" * 5000, b"[" * 100_000)),
+    ),
     st.tuples(st.just("append"), st.integers(1, 4)),
     st.tuples(st.just("torn"), st.just(1.0) | st.floats(0, 1, exclude_min=True)),
 )
@@ -250,9 +440,9 @@ def test_repeat_verify_checks_only_new_lines(tmp_path, monkeypatch):
     checked = []
     plain = audit._check_line
 
-    def counted(obj, position, prev_hash):
+    def counted(raw, obj, position, prev_hash):
         checked.append(position)
-        return plain(obj, position, prev_hash)
+        return plain(raw, obj, position, prev_hash)
 
     monkeypatch.setattr(audit, "_check_line", counted)
     path = tmp_path / "audit.log"

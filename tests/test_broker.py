@@ -461,6 +461,23 @@ def test_audit_verify_sees_a_flip_in_the_already_verified_prefix(tmp_path):
     core.close()
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b'{"actor":"a","payload":{"n":' + b"9" * 5000 + b"}}", b"[" * 100_000],
+    ids=["long-int", "deep"],
+)
+def test_audit_verify_answers_on_a_line_the_parser_refuses(tmp_path, line):
+    # An int past the digit limit is a ValueError and deep nesting a
+    # RecursionError; either is a bad line, not an error reply or a raise.
+    core = make_core(data_dir=tmp_path)
+    standard_session(core)
+    events = len(core.ledger)
+    with open(tmp_path / "audit.log", "ab") as fh:
+        fh.write(line + b"\n")
+    assert ok(core, "audit_verify") == {"verified": False, "first_bad_seq": events, "events": events}
+    core.close()
+
+
 def test_restart_never_resurrects_expired_access(tmp_path):
     core = make_core(data_dir=tmp_path)
     standard_session(core)
