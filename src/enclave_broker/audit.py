@@ -131,9 +131,10 @@ class AuditLedger:
     """The chain's length and head, over its file or an in-memory buffer.
 
     No event object is kept: the open reads the log once and keeps only
-    the event count and the last hash, which is all an append needs. Appends are flushed before the triggering operation is
-    allowed to report success; anything that wants the events back
-    reads them from the log.
+    the event count and the last hash, which is all an append needs.
+    Appends are flushed before the triggering operation is allowed to
+    report success; anything that wants the events back reads them from
+    the log.
     """
 
     def __init__(self, path=None):

@@ -149,13 +149,15 @@ class BreakGlassService:
         req.status = DENIED
         return req
 
-    def sweep(self, now: int, contract_is_live) -> list[BreakGlassRequest]:
-        """Auto-revoke every Activated request whose contract is no longer live."""
+    def sweep(self, now: int, contract_is_live, record: Record) -> list[BreakGlassRequest]:
+        """Auto-revoke every Activated request whose contract is no longer
+        live, each only once its own `record` has returned."""
         revoked = []
         for req in self.requests.values():
             if req.status != ACTIVATED:
                 continue
             if not contract_is_live(req.activated_contract_id, now):
+                record(req)
                 req.status = AUTO_REVOKED
                 revoked.append(req)
         return revoked

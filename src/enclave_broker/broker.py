@@ -445,8 +445,7 @@ class BrokerCore:
             c = self.contracts.get(contract_id)
             return c is not None and is_live(c, at)
 
-        for req in self.break_glass.sweep(now, contract_live):
-            auto_revoked.append(req.request_id)
+        def revoke(req: bg_mod.BreakGlassRequest) -> None:
             c = self.contracts.get(req.activated_contract_id)
             if c is not None and c.status == ACTIVE:
                 self._expire_contract(c)
@@ -459,6 +458,9 @@ class BrokerCore:
                 audit_mod.BREAK_GLASS_REVOKED,
                 {"request_id": req.request_id, "contract_id": req.activated_contract_id},
             )
+
+        for req in self.break_glass.sweep(now, contract_live, revoke):
+            auto_revoked.append(req.request_id)
         for c in list(self.contracts.values()):
             if c.status == ACTIVE and not is_live(c, now):
                 self._expire_contract(c)

@@ -155,9 +155,6 @@ class ValidationReport:
     def add(self, code: str, message: str):
         self.problems.append((code, message))
 
-    def codes(self) -> list[str]:
-        return [code for code, _ in self.problems]
-
 
 def validate_contract(c: DataContract, catalog: SchemaCatalog) -> ValidationReport:
     """Check every grant against the catalog; problems are reported, not raised."""

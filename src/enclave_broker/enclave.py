@@ -34,7 +34,6 @@ CAUSE_OPERATOR = "Operator"
 CAUSE_EXPIRY = "Expiry"
 CAUSE_REVOCATION = "Revocation"
 CAUSE_BREAK_GLASS_AUTO = "BreakGlassAuto"
-CAUSES = (CAUSE_OPERATOR, CAUSE_EXPIRY, CAUSE_REVOCATION, CAUSE_BREAK_GLASS_AUTO)
 
 
 @dataclass(frozen=True)

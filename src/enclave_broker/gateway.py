@@ -236,12 +236,12 @@ class QueryGateway:
         schema = tuple(zip(segment.columns, segment.column_types))
         caps = [n for n in (ast.limit, grant.row_limit) if n is not None]
         cap = min(caps) if caps else None
-        match, terms = compile_predicate(schema, ast.predicate)
+        terms = compile_predicate(schema, ast.predicate)
         picks = [seg_cols[c] for c in out_cols]
         if picks == list(range(len(segment.columns))):
-            rows, truncated = segment.select_all(terms, match, cap)
+            rows, truncated = segment.select_all(terms, cap)
             return QueryResult(tuple(out_cols), rows, truncated), ALLOW
-        hits, truncated = segment.matches(terms, match, cap)
+        hits, truncated = segment.matches(terms, cap)
         rows = project(picks, len(segment.columns))(segment.rows_at(hits))
         return QueryResult(tuple(out_cols), rows, truncated), ALLOW
 

@@ -25,13 +25,6 @@ EXFILTRATION_ATTEMPT = "ExfiltrationAttempt"
 VOLUME_DEVIATION = "VolumeDeviation"
 PROBING_DENIALS = "ProbingDenials"
 BREAK_GLASS_ACTIVATED = "BreakGlassActivated"
-RULES = (
-    ENUMERATION_PATTERN,
-    EXFILTRATION_ATTEMPT,
-    VOLUME_DEVIATION,
-    PROBING_DENIALS,
-    BREAK_GLASS_ACTIVATED,
-)
 
 VERDICT_ALLOW = "Allow"
 VERDICT_DENY = "Deny"

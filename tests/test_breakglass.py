@@ -17,6 +17,7 @@ from enclave_broker.errors import (
     DuplicateApproval,
     SelfApproval,
     StateError,
+    StorageFailure,
     UnknownAccount,
     UnknownEntity,
     ValidationFailed,
@@ -181,10 +182,19 @@ def test_sweep_auto_revokes_dead_contracts():
     svc.mark_activated(live.request_id, "bg-live")
     svc.mark_activated(dead.request_id, "bg-dead")
 
-    revoked = svc.sweep(1000, lambda cid, now: cid == "bg-live")
-    assert revoked == [dead]
+    def refuse(req):
+        raise StorageFailure("audit append failed: disk full")
+
+    # A request is revoked only once its record returns.
+    with pytest.raises(StorageFailure):
+        svc.sweep(1000, lambda cid, now: cid == "bg-live", refuse)
+    assert dead.status == ACTIVATED
+    recorded = []
+    revoked = svc.sweep(1000, lambda cid, now: cid == "bg-live", recorded.append)
+    assert revoked == recorded == [dead]
     assert dead.status == AUTO_REVOKED
     assert live.status == ACTIVATED
     assert pending.status == PENDING
     # A second sweep has nothing left to do.
-    assert svc.sweep(2000, lambda cid, now: cid == "bg-live") == []
+    assert svc.sweep(2000, lambda cid, now: cid == "bg-live", recorded.append) == []
+    assert recorded == [dead]

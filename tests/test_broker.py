@@ -620,6 +620,35 @@ def test_break_glass_window_closes_by_sweep():
     assert audit_mod.BREAK_GLASS_REVOKED in [e.kind for e in core.ledger.events()]
 
 
+def test_sweep_revokes_break_glass_only_once_the_ledger_records_it():
+    core = bg_core()
+    rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
+    ok(core, "bg_approve", {"request_id": rid, "approver": "bob"})
+    final = ok(core, "bg_approve", {"request_id": rid, "approver": "carol"})
+    ok(core, "tick", {"seconds": 900})
+    append = core.ledger.append
+
+    def refuse(timestamp, actor, kind, payload):
+        if kind == audit_mod.BREAK_GLASS_REVOKED:
+            raise StorageFailure("audit append failed: disk full")
+        return append(timestamp, actor, kind, payload)
+
+    core.ledger.append = refuse
+    assert err_code(call(core, "sweep")) == "StorageFailure"
+    assert core.break_glass.requests[rid].status == "Activated"
+    core.ledger.append = append
+    # The contract expired and the enclave shut in the refused sweep, so
+    # the retry records only the revocation, then marks the request.
+    swept = ok(core, "sweep")
+    assert swept == {"expired": [], "expired_enclaves": [], "bg_auto_revoked": [rid]}
+    assert core.break_glass.requests[rid].status == "AutoRevoked"
+    assert core.enclaves[final["enclave_id"]].transitions[-1].cause == CAUSE_BREAK_GLASS_AUTO
+    kinds = [e.kind for e in core.ledger.events()]
+    assert kinds.count(audit_mod.BREAK_GLASS_REVOKED) == 1
+    assert kinds.count(audit_mod.CONTRACT_EXPIRED) == 1
+    assert ok(core, "sweep") == {"expired": [], "expired_enclaves": [], "bg_auto_revoked": []}
+
+
 def test_break_glass_rejects_colliding_contract_ids():
     core = bg_core()
     ok(core, "submit_contract", {"text": C1_TEXT})

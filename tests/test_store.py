@@ -401,25 +401,40 @@ def test_extract_segment_matches_oracle(rows, columns, pred):
 
 @given(_rows, _preds, st.one_of(st.none(), st.integers(0, 70)))
 def test_compiled_scan_matches_oracle(rows, pred, limit):
-    match, _ = compile_predicate(_SCHEMA, pred)
+    terms = compile_predicate(_SCHEMA, pred)
     expected = [row for row in rows if _oracle_match(row, pred)]
-    assert scan(rows, match, limit) == expected[:limit]
+    assert scan(rows, terms) == expected
+    assert [rows[i] for i in scan_positions(rows, terms, limit)] == expected[:limit]
     for row in rows:
         assert eval_predicate(row, _SCHEMA, pred) == _oracle_match(row, pred)
 
 
 def test_impossible_predicate_reads_no_rows():
-    class Unreadable:
+    class Unreadable(tuple):
         def __iter__(self):
             raise AssertionError("scan read a row")
 
+        def __getitem__(self, index):
+            raise AssertionError("scan read a row")
+
+    plain = tuple((k % 7, "red", k, "2022-01-01", k / 4) for k in range(40))
+    rows = Unreadable(plain)
+    bare = Segment("ns.t", _COLS, _TYPES, rows, 0)
+    ordered = Segment("ns.t", _COLS, _TYPES, rows, 0)
+    _build_every_order(ordered.orders, plain)
     for comp in (
         Comparison("x", "=", Literal.integer(1)),
         Comparison("w", "!=", Literal.text("red")),
         Comparison("absent", ">", Literal.integer(0)),
     ):
-        pred = Predicate((Comparison("w", ">", Literal.integer(0)), comp))
-        assert scan(Unreadable(), compile_predicate(_SCHEMA, pred)[0], None) == []
+        terms = compile_predicate(_SCHEMA, Predicate((Comparison("w", ">", Literal.integer(0)), comp)))
+        assert terms is None
+        assert scan(rows, terms) == []
+        for limit in (None, 3):
+            assert list(scan_positions(rows, terms, limit)) == []
+            for seg in (bare, ordered):
+                hits, truncated = seg.matches(terms, limit)
+                assert (list(hits), truncated) == ([], False)
 
 
 # ---- DATE columns: ISO text cells, compared by day count ----
@@ -479,7 +494,7 @@ def test_date_column_compares_day_counts(data):
         }[comp.op]
 
     expected = [row for row in rows if all(holds(row[1], c) for c in comps)]
-    assert scan(rows, compile_predicate(_DATE_SCHEMA, Predicate(tuple(comps)))[0]) == expected
+    assert scan(rows, compile_predicate(_DATE_SCHEMA, Predicate(tuple(comps)))) == expected
 
 
 # ---- the wire form ----
@@ -510,10 +525,10 @@ def test_wire_form_splices_the_canonical_encoding_of_any_positions(rows, data):
 
 def test_scan_positions_agrees_with_scan():
     rows = tuple((i, i % 7) for i in range(50))
-    match, terms = compile_predicate((("a", "INT"), ("b", "INT")), Predicate((Comparison("b", "=", Literal.integer(3)),)))
+    terms = compile_predicate((("a", "INT"), ("b", "INT")), Predicate((Comparison("b", "=", Literal.integer(3)),)))
     for limit in (None, 0, 1, 4, 100):
-        assert [rows[i] for i in scan_positions(rows, terms, match, limit)] == scan(rows, match, limit)
-        assert list(scan_positions(rows, (), None, limit)) == list(range(50 if limit is None else min(50, limit)))
+        assert [rows[i] for i in scan_positions(rows, terms, limit)] == scan(rows, terms)[:limit]
+        assert list(scan_positions(rows, (), limit)) == list(range(50 if limit is None else min(50, limit)))
 
 
 # ---- access paths: a column's sorted order answers as the scan does ----
@@ -558,9 +573,9 @@ def _build_every_order(orders: ColumnOrders, rows) -> None:
     """Build each column's order by the rule: two full scans with an
     orderable term on it."""
     for comp in _EVERY_ROW:
-        match, terms = compile_predicate(_SCHEMA, Predicate((comp,)))
+        terms = compile_predicate(_SCHEMA, Predicate((comp,)))
         for _ in range(2):
-            orders.positions(rows, terms, match)
+            orders.positions(rows, terms)
     assert all(orders.built(i) for i in range(len(_COLS)))
 
 
@@ -573,12 +588,12 @@ def _build_every_order(orders: ColumnOrders, rows) -> None:
 def test_sorted_orders_answer_as_the_scan_does(rows, pred, limit, row_limit):
     seg = Segment("ns.t", _COLS, _TYPES, tuple(rows), 0)
     _build_every_order(seg.orders, seg.rows)
-    match, terms = compile_predicate(_SCHEMA, pred)
+    terms = compile_predicate(_SCHEMA, pred)
     caps = [n for n in (limit, row_limit) if n is not None]
     cap = min(caps) if caps else None
-    every = list(scan_positions(seg.rows, terms, match))
+    every = list(scan_positions(seg.rows, terms))
     assert every == [i for i, row in enumerate(rows) if _oracle_match(row, pred)]
-    hits, truncated = seg.matches(terms, match, cap)
+    hits, truncated = seg.matches(terms, cap)
     assert list(hits) == every[:cap]
     assert truncated == (cap is not None and len(every) > cap)
 
@@ -600,22 +615,22 @@ def test_a_window_on_a_built_order_reads_no_row_outside_it():
         ((Comparison("z", "=", Literal.date(days_to_date(19004))),), list(range(4, 200, 30))),
         ((Comparison("r", ">", Literal.real(49.0)),), list(range(197, 200))),
     ):
-        match, terms = compile_predicate(_SCHEMA, Predicate(pred))
-        assert list(orders.positions(_Unscannable(rows), terms, match)) == expected
+        terms = compile_predicate(_SCHEMA, Predicate(pred))
+        assert list(orders.positions(_Unscannable(rows), terms)) == expected
     # `!=` and a day count on a DATE column never narrow an order: the scan runs.
     for comp in (Comparison("y", "!=", Literal.integer(3)), Comparison("z", "<", Literal.integer(19001))):
-        match, terms = compile_predicate(_SCHEMA, Predicate((comp,)))
+        terms = compile_predicate(_SCHEMA, Predicate((comp,)))
         with pytest.raises(AssertionError, match="the scan read the rows"):
-            orders.positions(_Unscannable(rows), terms, match)
+            orders.positions(_Unscannable(rows), terms)
 
 
 def test_a_column_already_in_row_order_costs_no_memory_and_no_sort():
     rows = tuple((k // 3, "t", 0, "2022-01-01", 0.0) for k in range(90))
     orders = ColumnOrders()
     _build_every_order(orders, rows)
-    match, terms = compile_predicate(_SCHEMA, Predicate((Comparison("w", ">=", Literal.integer(10)),)))
+    terms = compile_predicate(_SCHEMA, Predicate((Comparison("w", ">=", Literal.integer(10)),)))
     # The LIMIT reads two rows, though the window holds sixty.
-    assert orders.positions(_Unscannable(rows), terms, match, 2) == range(30, 32)
+    assert orders.positions(_Unscannable(rows), terms, 2) == range(30, 32)
 
 
 def test_encode_each_across_steps():
