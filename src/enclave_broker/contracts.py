@@ -18,12 +18,9 @@ DRAFT = "Draft"
 ACTIVE = "Active"
 EXPIRED = "Expired"
 REVOKED = "Revoked"
-STATUSES = (DRAFT, ACTIVE, EXPIRED, REVOKED)
 
 ORIGIN_STANDARD = "Standard"
 ORIGIN_BREAK_GLASS = "BreakGlass"
-
-ALL_COLUMNS = None  # a grant with columns=None covers the whole schema
 
 
 @dataclass(frozen=True)

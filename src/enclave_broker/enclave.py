@@ -134,20 +134,26 @@ def open_gate(e: EnclaveInstance, now: int) -> EnclaveInstance:
     return e
 
 
-def expire_or_revoke(e: EnclaveInstance, cause: str, now: int) -> EnclaveInstance:
-    """Terminal shutdown: both doors close in the same step.
+def shutdown_state(e: EnclaveInstance, cause: str) -> str:
+    """The terminal state a shutdown of `e` with `cause` would reach.
 
     Expiry and break-glass auto-revocation end in Expired; operator
-    revocation ends in Revoked. The caller invalidates sessions in the
-    same atomic step.
+    revocation ends in Revoked. Raises if `e` cannot be shut so.
     """
     if e.state in TERMINAL:
         raise StateError(f"cannot expire or revoke enclave in state {e.state}")
     if cause not in (CAUSE_EXPIRY, CAUSE_REVOCATION, CAUSE_BREAK_GLASS_AUTO):
         raise StateError(f"bad shutdown cause {cause!r}")
+    return REVOKED if cause == CAUSE_REVOCATION else EXPIRED
+
+
+def expire_or_revoke(e: EnclaveInstance, cause: str, now: int) -> EnclaveInstance:
+    """Terminal shutdown: both doors close in the same step. Every
+    session on `e` is dead from then on, since the gateway reads the
+    enclave's state on each statement."""
+    to_state = shutdown_state(e, cause)
     e.upstream_open = False
     e.gateway_open = False
-    to_state = REVOKED if cause == CAUSE_REVOCATION else EXPIRED
     _record(e, e.state, to_state, now, cause)
     return e
 

@@ -1,10 +1,11 @@
 """The gateway: the single mediated path to enclave data.
 
-Sessions are bearer-token handles onto one Serving enclave. Every
-statement, allowed or denied or even unparseable, is emitted as exactly
-one audit event, which the monitor then scores; there is no unlogged
-path. Execution reads only the enclave's sealed segments, never the
-upstream store.
+Sessions are bearer-token handles onto one Serving enclave. A session
+holds no copy of its enclave's state: it is dead once closed, or once
+its enclave leaves Serving. Every statement, allowed or denied or even
+unparseable, is emitted as exactly one audit event, which the monitor
+then scores; there is no unlogged path. Execution reads only the
+enclave's sealed segments, never the upstream store.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .audit import QUERY_DENIED, QUERY_EXECUTED, SESSION_CLOSED, SESSION_OPENED
 from .contracts import DataContract, Grant, is_live
 from .enclave import SERVING, EnclaveInstance
 from .errors import BadToken, BrokerError, ContractExpired, EnclaveNotServing, ParseError, SessionDead
-from .monitor import KIND_INVALID, VERDICT_ALLOW, VERDICT_DENY
+from .monitor import KIND_INVALID
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
 from .store import compile_predicate, project
 from .store import eval_predicate  # noqa: F401  benches/spans.py RowCounter patches this name
@@ -34,27 +35,7 @@ class Session:
     session_id: str
     enclave_id: str
     contract_id: str
-    token: str
-    opened_at: int
     closed: bool = False
-    invalidated: bool = False  # set when the enclave leaves Serving
-
-
-@dataclass(frozen=True)
-class Decision:
-    verdict: str  # "Allow" | "Deny"
-    deny_code: str | None = None
-
-    @property
-    def allowed(self) -> bool:
-        return self.verdict == VERDICT_ALLOW
-
-
-ALLOW = Decision(VERDICT_ALLOW)
-
-
-def deny(code: str) -> Decision:
-    return Decision(VERDICT_DENY, code)
 
 
 @dataclass(frozen=True)
@@ -73,13 +54,11 @@ class QueryResult:
 
 
 class DenialError(BrokerError):
-    """A denied statement, carrying the gateway's Decision; its code is
-    the decision's deny code."""
+    """A denied statement; its code is the gateway's deny code."""
 
-    def __init__(self, decision: Decision, message: str = ""):
-        self.code = decision.deny_code
+    def __init__(self, code: str, message: str = ""):
+        self.code = code
         super().__init__(message)
-        self.decision = decision
 
 
 def _grant_for_table(c: DataContract, table: str) -> tuple[int, Grant] | None:
@@ -89,32 +68,33 @@ def _grant_for_table(c: DataContract, table: str) -> tuple[int, Grant] | None:
     return None
 
 
-def authorize(ast: QueryAst, c: DataContract, s: Session, now: int) -> Decision:
-    """Score one parsed statement against contract and session state.
+def authorize(ast: QueryAst, c: DataContract, s: Session, e: EnclaveInstance, now: int) -> str | None:
+    """Score one parsed statement against contract, session and enclave
+    state; returns the deny code, or None to allow.
 
     Checks run against the contract even though the segments already
     exclude everything out of scope; two fences, one decision.
     """
     if ast.kind == COPY_INTO:
-        return deny(DENY_STATEMENT_FORBIDDEN)
+        return DENY_STATEMENT_FORBIDDEN
     if s.closed:
-        return deny(DENY_SESSION_DEAD)
+        return DENY_SESSION_DEAD
     if not is_live(c, now):
-        return deny(DENY_CONTRACT_EXPIRED)
-    if s.invalidated:
-        return deny(DENY_SESSION_DEAD)
+        return DENY_CONTRACT_EXPIRED
+    if e.state != SERVING:
+        return DENY_SESSION_DEAD
     if ast.kind == SHOW_TABLES:
-        return ALLOW
+        return None
     found = _grant_for_table(c, ast.table)
     if found is None:
-        return deny(DENY_UNKNOWN_TABLE)
+        return DENY_UNKNOWN_TABLE
     _, grant = found
     if grant.columns is not None:
         granted = set(grant.columns)
         for col in ast.named_columns():
             if col not in granted:
-                return deny(DENY_COLUMN_OUT_OF_SCOPE)
-    return ALLOW
+                return DENY_COLUMN_OUT_OF_SCOPE
+    return None
 
 
 class QueryGateway:
@@ -150,8 +130,6 @@ class QueryGateway:
             session_id=f"ses-{secrets.token_hex(6)}",
             enclave_id=enclave.enclave_id,
             contract_id=contract.contract_id,
-            token=presented_token,
-            opened_at=now,
         )
         # The append is the commit point: a session the ledger cannot
         # record is never registered.
@@ -173,15 +151,6 @@ class QueryGateway:
         )
         s.closed = True
 
-    def invalidate_for_enclave(self, enclave_id: str) -> list[str]:
-        """Called in the same atomic step as an enclave shutdown."""
-        hit = []
-        for s in self.sessions.values():
-            if s.enclave_id == enclave_id and not s.invalidated:
-                s.invalidated = True
-                hit.append(s.session_id)
-        return hit
-
     def execute(
         self,
         s: Session,
@@ -198,20 +167,17 @@ class QueryGateway:
             self._report(s, contract, text, KIND_INVALID, False, 0, error=str(exc))
             raise
         star = ast.kind == SELECT and ast.columns is None
-        decision = authorize(ast, contract, s, now)
-        if decision.allowed and enclave.state != SERVING:
-            # Unreachable when shutdowns invalidate sessions atomically.
-            decision = deny(DENY_SESSION_DEAD)
+        code = authorize(ast, contract, s, enclave, now)
         result = None
-        if decision.allowed:
+        if code is None:
             if ast.kind == SHOW_TABLES:
                 result = self._show_tables(contract)
             else:
-                result, decision = self._evaluate_select(ast, contract, enclave)
+                result, code = self._evaluate_select(ast, contract, enclave)
         rows_returned = len(result.rows) if result is not None else 0
-        self._report(s, contract, text, ast.kind, star, rows_returned, deny_code=decision.deny_code)
-        if not decision.allowed:
-            raise DenialError(decision, f"{decision.deny_code}: {text!r}")
+        self._report(s, contract, text, ast.kind, star, rows_returned, deny_code=code)
+        if code is not None:
+            raise DenialError(code, f"{code}: {text!r}")
         return result
 
     def _show_tables(self, contract: DataContract) -> QueryResult:
@@ -224,13 +190,14 @@ class QueryGateway:
 
     def _evaluate_select(
         self, ast: QueryAst, contract: DataContract, enclave: EnclaveInstance
-    ) -> tuple[QueryResult | None, Decision]:
+    ) -> tuple[QueryResult | None, str | None]:
+        """The result, or the deny code of the segment-column fence."""
         index, grant = _grant_for_table(contract, ast.table)
         segment = enclave.segments[index]
         seg_cols = {col: i for i, col in enumerate(segment.columns)}
         for col in ast.named_columns():
             if col not in seg_cols:
-                return None, deny(DENY_COLUMN_OUT_OF_SCOPE)
+                return None, DENY_COLUMN_OUT_OF_SCOPE
         out_cols = segment.columns if ast.columns is None else ast.columns
         assert set(out_cols) <= set(segment.columns)
         schema = tuple(zip(segment.columns, segment.column_types))
@@ -240,10 +207,10 @@ class QueryGateway:
         picks = [seg_cols[c] for c in out_cols]
         if picks == list(range(len(segment.columns))):
             rows, truncated = segment.select_all(terms, cap)
-            return QueryResult(tuple(out_cols), rows, truncated), ALLOW
+            return QueryResult(tuple(out_cols), rows, truncated), None
         hits, truncated = segment.matches(terms, cap)
         rows = project(picks, len(segment.columns))(segment.rows_at(hits))
-        return QueryResult(tuple(out_cols), rows, truncated), ALLOW
+        return QueryResult(tuple(out_cols), rows, truncated), None
 
     def _report(
         self,

@@ -43,7 +43,7 @@ def service(**kw):
 
 def file_request(svc, account="alice", **kw):
     template = draft(principal=account, **kw)
-    return svc.request_access(account, template, "prod incident", CATALOG, 0, unrecorded)
+    return svc.request_access(account, template, "prod incident", CATALOG, unrecorded)
 
 
 def test_config_rejects_weak_quorum():
@@ -60,26 +60,26 @@ def test_config_rejects_weak_quorum():
 def test_request_requires_registered_account():
     svc = service()
     with pytest.raises(UnknownAccount):
-        svc.request_access("mallory", draft(principal="mallory"), "x", CATALOG, 0, unrecorded)
+        svc.request_access("mallory", draft(principal="mallory"), "x", CATALOG, unrecorded)
 
 
 def test_request_requires_draft_template():
     svc = service()
     with pytest.raises(ValidationFailed):
-        svc.request_access("alice", activate(draft(principal="alice"), 0), "x", CATALOG, 0, unrecorded)
+        svc.request_access("alice", activate(draft(principal="alice"), 0), "x", CATALOG, unrecorded)
 
 
 def test_request_requires_matching_principal():
     svc = service()
     with pytest.raises(ValidationFailed):
-        svc.request_access("alice", draft(principal="bob"), "x", CATALOG, 0, unrecorded)
+        svc.request_access("alice", draft(principal="bob"), "x", CATALOG, unrecorded)
 
 
 def test_request_validates_template():
     svc = service()
     bad = draft(principal="alice", grants=(Grant("warehouse.ghost", None),))
     with pytest.raises(ValidationFailed) as exc:
-        svc.request_access("alice", bad, "x", CATALOG, 0, unrecorded)
+        svc.request_access("alice", bad, "x", CATALOG, unrecorded)
     assert "UnknownSource" in str(exc.value)
 
 
@@ -97,11 +97,11 @@ def test_request_is_stamped_and_tracked():
 def test_approvals_accumulate_to_quorum():
     svc = service(quorum=3)
     req = file_request(svc)
-    r, reached = svc.approve(req.request_id, "bob", 1, unrecorded)
+    r, reached = svc.approve(req.request_id, "bob", unrecorded)
     assert (r.approvals, reached) == (["bob"], False)
-    r, reached = svc.approve(req.request_id, "carol", 2, unrecorded)
+    r, reached = svc.approve(req.request_id, "carol", unrecorded)
     assert (r.approvals, reached) == (["bob", "carol"], False)
-    r, reached = svc.approve(req.request_id, "dave", 3, unrecorded)
+    r, reached = svc.approve(req.request_id, "dave", unrecorded)
     assert (r.approvals, reached) == (["bob", "carol", "dave"], True)
 
 
@@ -110,9 +110,9 @@ def test_quorum_alone_activates_nothing():
     # step layered on top, so no request self-activates.
     svc = service()
     req = file_request(svc)
-    _, reached = svc.approve(req.request_id, "bob", 1, unrecorded)
+    _, reached = svc.approve(req.request_id, "bob", unrecorded)
     assert not reached
-    _, reached = svc.approve(req.request_id, "carol", 2, unrecorded)
+    _, reached = svc.approve(req.request_id, "carol", unrecorded)
     assert reached
     assert req.status == PENDING
     assert req.activated_contract_id is None
@@ -122,7 +122,7 @@ def test_requester_cannot_self_approve():
     svc = service()
     req = file_request(svc)
     with pytest.raises(SelfApproval):
-        svc.approve(req.request_id, "alice", 1, unrecorded)
+        svc.approve(req.request_id, "alice", unrecorded)
     assert req.approvals == []
 
 
@@ -132,7 +132,7 @@ def test_approver_must_be_registered():
     req = file_request(svc)
     for name in ("mallory", "mallory2"):
         with pytest.raises(UnknownAccount):
-            svc.approve(req.request_id, name, 1, unrecorded)
+            svc.approve(req.request_id, name, unrecorded)
     assert req.approvals == []
     assert req.status == PENDING
 
@@ -140,38 +140,38 @@ def test_approver_must_be_registered():
 def test_each_approver_counts_once():
     svc = service(quorum=3)
     req = file_request(svc)
-    svc.approve(req.request_id, "bob", 1, unrecorded)
+    svc.approve(req.request_id, "bob", unrecorded)
     with pytest.raises(DuplicateApproval):
-        svc.approve(req.request_id, "bob", 2, unrecorded)
+        svc.approve(req.request_id, "bob", unrecorded)
     assert req.approvals == ["bob"]
 
 
 def test_unknown_request_rejected():
     svc = service()
     with pytest.raises(UnknownEntity):
-        svc.approve("req-nope", "bob", 0, unrecorded)
+        svc.approve("req-nope", "bob", unrecorded)
     with pytest.raises(UnknownEntity):
-        svc.deny("req-nope", 0, unrecorded)
+        svc.deny("req-nope", unrecorded)
 
 
 def test_settled_requests_are_final():
     svc = service()
     denied = file_request(svc)
-    svc.deny(denied.request_id, 1, unrecorded)
+    svc.deny(denied.request_id, unrecorded)
     assert denied.status == DENIED
     with pytest.raises(StateError):
-        svc.approve(denied.request_id, "bob", 2, unrecorded)
+        svc.approve(denied.request_id, "bob", unrecorded)
     with pytest.raises(StateError):
-        svc.deny(denied.request_id, 2, unrecorded)
+        svc.deny(denied.request_id, unrecorded)
 
     active = file_request(svc, account="bob")
     svc.mark_activated(active.request_id, "bg-1")
     assert active.status == ACTIVATED
     assert active.activated_contract_id == "bg-1"
     with pytest.raises(StateError):
-        svc.approve(active.request_id, "carol", 3, unrecorded)
+        svc.approve(active.request_id, "carol", unrecorded)
     with pytest.raises(StateError):
-        svc.deny(active.request_id, 3, unrecorded)
+        svc.deny(active.request_id, unrecorded)
 
 
 def test_sweep_auto_revokes_dead_contracts():

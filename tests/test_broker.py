@@ -99,8 +99,8 @@ def sample_args(spec, skip=None):
 
 def test_every_declared_op_dispatches():
     core = make_core(bg_accounts=("alice", "bob"))
-    for op, (handler, spec) in OPS.items():
-        assert callable(getattr(core, handler))
+    for op, spec in OPS.items():
+        assert callable(getattr(core, op))
         args = {**sample_args(spec), "unknown_extra": [1, {}]}
         resp = core.handle({"op": op, "id": op, "args": args})
         # Well-typed args always reach the handler, and unknown extra args
@@ -113,12 +113,12 @@ def test_every_declared_op_dispatches():
 
 @pytest.mark.parametrize(
     "op,name",
-    [(op, k) for op, (_, spec) in OPS.items() for k in spec if not k.endswith("?")],
+    [(op, k) for op, spec in OPS.items() for k in spec if not k.endswith("?")],
 )
 def test_missing_required_arg_is_a_bad_request(op, name):
     core = make_core()
     before = len(core.ledger)
-    resp = call(core, op, sample_args(OPS[op][1], skip=name))
+    resp = call(core, op, sample_args(OPS[op], skip=name))
     assert err_code(resp) == "BadRequest"
     assert name in resp["error"]["message"]
     assert len(core.ledger) == before
@@ -362,7 +362,7 @@ def test_mistyped_args_are_bad_requests_and_leave_no_trace(op, name, value, extr
 
 @pytest.mark.parametrize(
     "op,name",
-    [(op, k.rstrip("?")) for op, (_, spec) in OPS.items() for k, t in spec.items() if t is str],
+    [(op, k.rstrip("?")) for op, spec in OPS.items() for k, t in spec.items() if t is str],
 )
 def test_string_arg_with_lone_surrogate_is_refused_before_the_op(op, name):
     # JSON carries "\ud800" but UTF-8 cannot, so neither the ledger nor
@@ -371,7 +371,7 @@ def test_string_arg_with_lone_surrogate_is_refused_before_the_op(op, name):
     _, _, session_id = standard_session(core)
     rid = ok(core, "bg_request", {"account": "alice", "template": BG_TEMPLATE})["request_id"]
     context = {"session_id": session_id, "request_id": rid, "account": "alice", "template": BG_TEMPLATE}
-    args = {k: context.get(k, v) for k, v in sample_args(OPS[op][1]).items()}
+    args = {k: context.get(k, v) for k, v in sample_args(OPS[op]).items()}
     args[name] = "x\ud800"
     before, calls, requests = len(core.ledger), core.gateway.execute_calls, len(core.break_glass.requests)
     resp = call(core, op, args)
@@ -647,6 +647,34 @@ def test_sweep_revokes_break_glass_only_once_the_ledger_records_it():
     assert kinds.count(audit_mod.BREAK_GLASS_REVOKED) == 1
     assert kinds.count(audit_mod.CONTRACT_EXPIRED) == 1
     assert ok(core, "sweep") == {"expired": [], "expired_enclaves": [], "bg_auto_revoked": []}
+
+
+def test_a_shutdown_the_ledger_refuses_is_made_by_the_next_sweep():
+    core = make_core()
+    _, enclave_id, session_id = standard_session(core)
+    append = core.ledger.append
+
+    def refuse(timestamp, actor, kind, payload):
+        if kind == audit_mod.ENCLAVE_TRANSITION:
+            raise StorageFailure("audit append failed: disk full")
+        return append(timestamp, actor, kind, payload)
+
+    core.ledger.append = refuse
+    assert err_code(call(core, "revoke_contract", {"contract_id": "c1"})) == "StorageFailure"
+    core.ledger.append = append
+    # The revocation committed and the shutdown did not, so the enclave
+    # is still Serving, but under a dead contract nothing is served.
+    assert core.enclaves[enclave_id].state == "Serving"
+    denied = call(core, "query", {"session_id": session_id, "text": "SELECT order_id FROM orders"})
+    assert err_code(denied) == "ContractExpired"
+    assert ok(core, "sweep")["expired_enclaves"] == [enclave_id]
+    shutdowns = [
+        (e.payload["from"], e.payload["to"], e.payload["cause"])
+        for e in core.ledger.events()
+        if e.kind == audit_mod.ENCLAVE_TRANSITION and e.payload["from"] == "Serving"
+    ]
+    assert shutdowns == [("Serving", "Revoked", CAUSE_REVOCATION)]
+    assert core.enclaves[enclave_id].state == "Revoked"
 
 
 def test_break_glass_rejects_colliding_contract_ids():

@@ -26,7 +26,7 @@ from enclave_broker.errors import (
     ParseError,
     SessionDead,
 )
-from enclave_broker.gateway import ALLOW, DenialError, QueryGateway, authorize, deny
+from enclave_broker.gateway import DenialError, QueryGateway, authorize
 from enclave_broker.model import Comparison, Literal, Predicate, days_to_date
 from enclave_broker.query import parse_query
 from enclave_broker.store import EncodedRows, TableStore
@@ -116,42 +116,44 @@ def q(text):
 def test_authorize_decision_table():
     gw, e, c, s = open_rig()
     now = 0
-    assert authorize(q("SHOW TABLES"), c, s, now) == ALLOW
-    assert authorize(q("SELECT * FROM orders"), c, s, now) == ALLOW
-    assert authorize(q("SELECT order_id FROM orders"), c, s, now) == ALLOW
-    assert authorize(q("COPY INTO s3://x FROM orders"), c, s, now) == deny("StatementForbidden")
-    assert authorize(q("SELECT * FROM invoices"), c, s, now) == deny("UnknownTable")
-    assert authorize(q("SELECT customer FROM orders"), c, s, now) == deny("ColumnOutOfScope")
-    assert authorize(q("SELECT order_id FROM orders WHERE customer = \"x\""), c, s, now) == deny(
-        "ColumnOutOfScope"
-    )
-    assert authorize(q("SELECT order_id FROM orders"), c, s, 3600) == deny("ContractExpired")
-    s.invalidated = True
-    assert authorize(q("SELECT order_id FROM orders"), c, s, now) == deny("SessionDead")
-    s.invalidated = False
+    assert authorize(q("SHOW TABLES"), c, s, e, now) is None
+    assert authorize(q("SELECT * FROM orders"), c, s, e, now) is None
+    assert authorize(q("SELECT order_id FROM orders"), c, s, e, now) is None
+    assert authorize(q("COPY INTO s3://x FROM orders"), c, s, e, now) == "StatementForbidden"
+    assert authorize(q("SELECT * FROM invoices"), c, s, e, now) == "UnknownTable"
+    assert authorize(q("SELECT customer FROM orders"), c, s, e, now) == "ColumnOutOfScope"
+    where = q("SELECT order_id FROM orders WHERE customer = \"x\"")
+    assert authorize(where, c, s, e, now) == "ColumnOutOfScope"
+    assert authorize(q("SELECT order_id FROM orders"), c, s, e, 3600) == "ContractExpired"
     s.closed = True
-    assert authorize(q("SELECT order_id FROM orders"), c, s, now) == deny("SessionDead")
+    assert authorize(q("SELECT order_id FROM orders"), c, s, e, now) == "SessionDead"
+    s.closed = False
+    # A session on an enclave that has left Serving is dead, even before
+    # its contract stops being live.
+    expire_or_revoke(e, CAUSE_REVOCATION, now)
+    assert authorize(q("SHOW TABLES"), c, s, e, now) == "SessionDead"
+    assert authorize(q("SELECT order_id FROM orders"), c, s, e, now) == "SessionDead"
 
 
 def test_authorize_copy_wins_even_when_session_dead():
     gw, e, c, s = open_rig()
     s.closed = True
-    assert authorize(q("COPY INTO s3://x FROM orders"), c, s, 0) == deny("StatementForbidden")
+    assert authorize(q("COPY INTO s3://x FROM orders"), c, s, e, 0) == "StatementForbidden"
 
 
 def test_authorize_expiry_outranks_invalidated_session():
-    # A sweep both expires the contract and invalidates sessions; the
+    # A sweep both expires the contract and shuts its enclave; the
     # contract is the reason the access died, so that is the answer.
     gw, e, c, s = open_rig()
-    s.invalidated = True
-    assert authorize(q("SELECT order_id FROM orders"), c, s, 3600) == deny("ContractExpired")
+    expire_or_revoke(e, CAUSE_EXPIRY, 3600)
+    assert authorize(q("SELECT order_id FROM orders"), c, s, e, 3600) == "ContractExpired"
 
 
 def test_all_columns_grant_allows_everything():
     c = activate(draft(grants=(Grant("warehouse.orders", None),)), 0)
     gw, e, _, _ = rig(c=c)
     s = gw.open_session(e, c, TOKEN, TOKEN, 0)
-    assert authorize(q("SELECT customer FROM orders"), c, s, 0) == ALLOW
+    assert authorize(q("SELECT customer FROM orders"), c, s, e, 0) is None
 
 
 # ---- execute ----
@@ -474,16 +476,22 @@ def test_alerts_are_audited_in_order():
 
 
 def test_invalidation_kills_all_enclave_sessions():
-    gw, e, c, _ = rig()
+    gw, e, c, store = rig()
     s1 = gw.open_session(e, c, TOKEN, TOKEN, 0)
     s2 = gw.open_session(e, c, TOKEN, TOKEN, 0)
+    # A session on another contract's enclave, through the same gateway.
+    other_c = replace(c, contract_id="c-other")
+    other_e = create_enclave(other_c, 0)
+    provision(other_e, other_c, store, 0)
+    seal(other_e, 0)
+    open_gate(other_e, 0)
+    other = gw.open_session(other_e, other_c, TOKEN, TOKEN, 0)
     expire_or_revoke(e, CAUSE_REVOCATION, 1)
-    hit = gw.invalidate_for_enclave(e.enclave_id)
-    assert set(hit) == {s1.session_id, s2.session_id}
     for s in (s1, s2):
         with pytest.raises(DenialError) as exc:
             gw.execute(s, e, c, "SELECT order_id FROM orders", 1)
         assert exc.value.code == "SessionDead"
+    assert gw.execute(other, other_e, other_c, "SELECT order_id FROM orders", 1).rows
 
 
 def test_star_never_leaks_ungranted_columns():
