@@ -193,19 +193,20 @@ class BrokerCore:
             self.emit("monitor", audit_mod.ALERT_RAISED, alert.ledger_payload())
         return event
 
-    def _emit_transitions(self, e: enclave_mod.EnclaveInstance, records):
-        for t in records:
-            self.emit(
-                "broker",
-                audit_mod.ENCLAVE_TRANSITION,
-                {
-                    "enclave_id": e.enclave_id,
-                    "contract_id": e.contract_id,
-                    "from": t.from_state,
-                    "to": t.to_state,
-                    "cause": t.cause,
-                },
-            )
+    def _record_transition(self, e: enclave_mod.EnclaveInstance, from_state, to_state, cause) -> None:
+        """The `record` of every enclave transition: the enclave module
+        makes a transition only once this has appended its event."""
+        self.emit(
+            "broker",
+            audit_mod.ENCLAVE_TRANSITION,
+            {
+                "enclave_id": e.enclave_id,
+                "contract_id": e.contract_id,
+                "from": from_state,
+                "to": to_state,
+                "cause": cause,
+            },
+        )
 
     # ---------------- contract ops ----------------
 
@@ -244,13 +245,18 @@ class BrokerCore:
         }
 
     def revoke_contract(self, contract_id: str, reason: str = "") -> dict:
-        c = contracts_mod.revoke(self._contract(contract_id), reason)
-        self.emit(
-            "operator",
-            audit_mod.CONTRACT_REVOKED,
-            {"contract_id": c.contract_id, "reason": reason},
-        )
-        self._save_contract(c)
+        c = self._contract(contract_id)
+        # A Revoked contract with an enclave still open is one whose
+        # shutdown the ledger refused: a repeat revoke finishes it and
+        # records no second revocation.
+        if c.status != contracts_mod.REVOKED or not self._open_enclaves(contract_id):
+            c = contracts_mod.revoke(c)
+            self.emit(
+                "operator",
+                audit_mod.CONTRACT_REVOKED,
+                {"contract_id": c.contract_id, "reason": reason},
+            )
+            self._save_contract(c)
         closed = self._shut_enclaves_for(contract_id, enclave_mod.CAUSE_REVOCATION)
         return {"contract_id": contract_id, "status": c.status, "revoked_enclaves": closed}
 
@@ -264,39 +270,36 @@ class BrokerCore:
         self._save_contract(expired)
 
     def _shut(self, e: enclave_mod.EnclaveInstance, cause: str):
-        """Close both doors of `e`, which ends its sessions. The append is
-        the commit point: a shutdown the ledger refuses leaves `e`
-        Serving under a dead contract, for the next sweep to shut."""
-        now = self.clock.now()
-        to_state = enclave_mod.shutdown_state(e, cause)
-        record = enclave_mod.TransitionRecord(e.enclave_id, e.state, to_state, now, cause)
-        self._emit_transitions(e, [record])
-        enclave_mod.expire_or_revoke(e, cause, now)
+        """Close both doors of `e` and wipe its segments, which ends its
+        sessions. A shutdown the ledger refuses is not made; a repeat
+        revoke or the next sweep makes it."""
+        enclave_mod.expire_or_revoke(e, cause, self._record_transition)
+
+    def _open_enclaves(self, contract_id: str) -> list[enclave_mod.EnclaveInstance]:
+        terminal = enclave_mod.TERMINAL
+        return [e for e in self.enclaves.values() if e.contract_id == contract_id and e.state not in terminal]
 
     def _shut_enclaves_for(self, contract_id: str, cause: str) -> list[str]:
-        hit = []
-        for e in self.enclaves.values():
-            if e.contract_id == contract_id and e.state not in enclave_mod.TERMINAL:
-                self._shut(e, cause)
-                hit.append(e.enclave_id)
-        return hit
+        hit = self._open_enclaves(contract_id)
+        for e in hit:
+            self._shut(e, cause)
+        return [e.enclave_id for e in hit]
 
     # ---------------- enclave ops ----------------
 
     def broker_enclave(self, contract_id: str) -> dict:
-        """The composed happy path: define, provision, seal, open the gate."""
+        """The composed happy path: define, provision, seal, open the gate.
+        Each step is made once its event is appended; a refused append
+        leaves the enclave in its last recorded state, for the sweep to
+        close once its contract is no longer live."""
         c = self._contract(contract_id)
         now = self.clock.now()
-        e = enclave_mod.create_enclave(c, now)
+        record = self._record_transition
+        e = enclave_mod.create_enclave(c, now, record)
         self.enclaves[e.enclave_id] = e
-        try:
-            enclave_mod.provision(e, c, self.store, now)
-            enclave_mod.seal(e, now)
-            enclave_mod.open_gate(e, now)
-        finally:
-            # A failed provision records both the Provisioning and the
-            # Revoked transitions; audit whatever actually happened.
-            self._emit_transitions(e, e.transitions)
+        enclave_mod.provision(e, c, self.store, now, record)
+        enclave_mod.seal(e, record)
+        enclave_mod.open_gate(e, record)
         return {"enclave_id": e.enclave_id, "state": e.state}
 
     # ---------------- session and query ops ----------------

@@ -113,7 +113,7 @@ def is_live(c: DataContract, now: int) -> bool:
     return c.activated_at <= now < c.activated_at + c.ttl
 
 
-def revoke(c: DataContract, reason: str = "") -> DataContract:
+def revoke(c: DataContract) -> DataContract:
     """Active to Revoked, immediately and irreversibly."""
     if c.status != ACTIVE:
         raise StateError(f"cannot revoke contract in status {c.status}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from enclave_broker import audit as audit_mod
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contract_dsl import parse_contract
 from enclave_broker.contracts import activate, is_live
@@ -84,6 +85,28 @@ def live_grants(core: BrokerCore) -> list:
     """Every (contract id, grant) of every live contract; empty after a full sweep."""
     now = core.clock.now()
     return [(c.contract_id, g) for c in core.contracts.values() if is_live(c, now) for g in c.grants]
+
+
+def no_record(e, from_state, to_state, cause) -> None:
+    """An enclave transition `record` for tests that audit nothing."""
+
+
+def fold_transitions(core: BrokerCore) -> dict[str, list[dict]]:
+    """Each enclave's `EnclaveTransition` payloads, in ledger order.
+
+    Checks the fold against the broker: the ledger names exactly the
+    registered enclaves, each `from` is the previous `to` (None first),
+    and the last `to` is the enclave's state.
+    """
+    chains: dict[str, list[dict]] = {}
+    for event in core.ledger.events():
+        if event.kind == audit_mod.ENCLAVE_TRANSITION:
+            chains.setdefault(event.payload["enclave_id"], []).append(event.payload)
+    assert set(chains) == set(core.enclaves)
+    for enclave_id, chain in chains.items():
+        assert [t["from"] for t in chain] == [None] + [t["to"] for t in chain[:-1]], chain
+        assert chain[-1]["to"] == core.enclaves[enclave_id].state, chain
+    return chains
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from enclave_broker.enclave import (
     CAUSE_EXPIRY,
     CAUSE_REVOCATION,
     create_enclave,
-    destroy,
     expire_or_revoke,
     open_gate,
     provision,
@@ -57,7 +56,7 @@ from enclave_broker.query import RESERVED, parse_query, print_query
 from enclave_broker.server import BrokerServer
 from enclave_broker.store import TableStore
 
-from conftest import C1_TEXT, append_row, live_grants, make_core
+from conftest import C1_TEXT, append_row, fold_transitions, live_grants, make_core, no_record
 
 
 @pytest.fixture
@@ -110,20 +109,27 @@ def test_man_trap_safety(verdict):
             DataContract("mt", "p", "walk", (Grant("ns.t", ("a",)),), ttl=10**9), 0
         )
 
+        recorded = []
+
+        def record(e, from_state, to_state, cause):
+            # Called before the move, so the enclave is still in from_state.
+            assert from_state == (None if to_state == "Defined" else e.state)
+            recorded.append(to_state)
+
         ops = {
-            "provision": lambda e, t: provision(e, contract, good, t),
-            "provision_fail": lambda e, t: provision(e, contract, empty, t),
-            "seal": lambda e, t: seal(e, t),
-            "open_gate": lambda e, t: open_gate(e, t),
-            "expire": lambda e, t: expire_or_revoke(e, CAUSE_EXPIRY, t),
-            "revoke": lambda e, t: expire_or_revoke(e, CAUSE_REVOCATION, t),
-            "destroy": lambda e, t: destroy(e, t),
+            "provision": lambda e, t: provision(e, contract, good, t, record),
+            "provision_fail": lambda e, t: provision(e, contract, empty, t, record),
+            "seal": lambda e, t: seal(e, record),
+            "open_gate": lambda e, t: open_gate(e, record),
+            "expire": lambda e, t: expire_or_revoke(e, CAUSE_EXPIRY, record),
+            "revoke": lambda e, t: expire_or_revoke(e, CAUSE_REVOCATION, record),
         }
         names = tuple(ops)
         seen_states = set()
 
         def run_schedule(schedule):
-            e = create_enclave(contract, 0, enclave_id="enc-walk")
+            recorded.clear()
+            e = create_enclave(contract, 0, record, enclave_id="enc-walk")
             seen_states.add(e.state)
             for t, name in enumerate(schedule, start=1):
                 before = (e.state, e.upstream_open, e.gateway_open)
@@ -138,6 +144,7 @@ def test_man_trap_safety(verdict):
                 assert not (e.upstream_open and e.gateway_open)
                 assert not e.upstream_open or e.state == PROVISIONING
                 assert not e.gateway_open or e.state == SERVING
+                assert recorded[-1] == e.state
                 e.check_doors()
                 seen_states.add(e.state)
 
@@ -261,10 +268,10 @@ def _containment_trial(rng):
         ),
         0,
     )
-    e = create_enclave(contract, 0)
-    provision(e, contract, store, 0)
-    seal(e, 0)
-    open_gate(e, 0)
+    e = create_enclave(contract, 0, no_record)
+    provision(e, contract, store, 0, no_record)
+    seal(e, no_record)
+    open_gate(e, no_record)
     gw = BrokerCore(BrokerConfig(), store=store).gateway
     s = gw.open_session(e, contract, "tok", "tok", 0)
     reads_after_provision = store.reads
@@ -565,7 +572,8 @@ def test_break_glass_quorum(verdict):
         assert swept["bg_auto_revoked"] == [rid]
         assert core.break_glass.requests[rid].status == "AutoRevoked"
         e = core.enclaves[final["enclave_id"]]
-        assert e.state == "Expired" and e.transitions[-1].cause == CAUSE_BREAK_GLASS_AUTO
+        assert e.state == "Expired"
+        assert fold_transitions(core)[e.enclave_id][-1]["cause"] == CAUSE_BREAK_GLASS_AUTO
         code = fail_code(core, "query", {"session_id": session_id, "text": "SELECT * FROM orders"})
         assert code == "ContractExpired"
         assert live_grants(core) == []

@@ -10,7 +10,7 @@ from enclave_broker.contracts import is_live
 from enclave_broker.enclave import CAUSE_BREAK_GLASS_AUTO, CAUSE_REVOCATION
 from enclave_broker.errors import BadConfig, StorageFailure
 
-from conftest import C1_TEXT, C1_SEGMENT_ROWS, live_grants, make_core
+from conftest import C1_TEXT, C1_SEGMENT_ROWS, fold_transitions, live_grants, make_core
 
 BG_TEMPLATE = """
 contract "bg-incident-42" {
@@ -314,10 +314,10 @@ def test_revoke_tears_down_everything_at_once():
     result = ok(core, "revoke_contract", {"contract_id": "c1", "reason": "leak"})
     assert result["status"] == "Revoked"
     assert set(result["revoked_enclaves"]) == {enclave_id, second}
+    chains = fold_transitions(core)
     for eid in (enclave_id, second):
-        e = core.enclaves[eid]
-        assert e.state == "Revoked"
-        assert e.transitions[-1].cause == CAUSE_REVOCATION
+        assert core.enclaves[eid].state == "Revoked"
+        assert chains[eid][-1]["cause"] == CAUSE_REVOCATION
     denied = call(core, "query", {"session_id": session_id, "text": "SELECT order_id FROM orders"})
     assert err_code(denied) == "ContractExpired"
     reopen = call(core, "open_session", {"enclave_id": enclave_id, "token": token})
@@ -611,9 +611,8 @@ def test_break_glass_window_closes_by_sweep():
     assert swept["bg_auto_revoked"] == [rid]
     assert swept["expired"] == ["bg-incident-42"]
     assert swept["expired_enclaves"] == [final["enclave_id"]]
-    e = core.enclaves[final["enclave_id"]]
-    assert e.state == "Expired"
-    assert e.transitions[-1].cause == CAUSE_BREAK_GLASS_AUTO
+    assert core.enclaves[final["enclave_id"]].state == "Expired"
+    assert fold_transitions(core)[final["enclave_id"]][-1]["cause"] == CAUSE_BREAK_GLASS_AUTO
     denied = call(core, "query", {"session_id": session, "text": "SELECT * FROM orders"})
     assert err_code(denied) == "ContractExpired"
     assert core.break_glass.requests[rid].status == "AutoRevoked"
@@ -642,7 +641,7 @@ def test_sweep_revokes_break_glass_only_once_the_ledger_records_it():
     swept = ok(core, "sweep")
     assert swept == {"expired": [], "expired_enclaves": [], "bg_auto_revoked": [rid]}
     assert core.break_glass.requests[rid].status == "AutoRevoked"
-    assert core.enclaves[final["enclave_id"]].transitions[-1].cause == CAUSE_BREAK_GLASS_AUTO
+    assert fold_transitions(core)[final["enclave_id"]][-1]["cause"] == CAUSE_BREAK_GLASS_AUTO
     kinds = [e.kind for e in core.ledger.events()]
     assert kinds.count(audit_mod.BREAK_GLASS_REVOKED) == 1
     assert kinds.count(audit_mod.CONTRACT_EXPIRED) == 1
@@ -675,6 +674,71 @@ def test_a_shutdown_the_ledger_refuses_is_made_by_the_next_sweep():
     ]
     assert shutdowns == [("Serving", "Revoked", CAUSE_REVOCATION)]
     assert core.enclaves[enclave_id].state == "Revoked"
+
+
+def test_a_repeat_revoke_makes_a_shutdown_the_ledger_refused():
+    core = make_core()
+    _, enclave_id, _ = standard_session(core)
+    append = core.ledger.append
+
+    def refuse(timestamp, actor, kind, payload):
+        if kind == audit_mod.ENCLAVE_TRANSITION:
+            raise StorageFailure("audit append failed: disk full")
+        return append(timestamp, actor, kind, payload)
+
+    core.ledger.append = refuse
+    assert err_code(call(core, "revoke_contract", {"contract_id": "c1", "reason": "leak"})) == "StorageFailure"
+    core.ledger.append = append
+    assert core.enclaves[enclave_id].state == "Serving"
+    retry = ok(core, "revoke_contract", {"contract_id": "c1"})
+    assert retry == {"contract_id": "c1", "status": "Revoked", "revoked_enclaves": [enclave_id]}
+    e = core.enclaves[enclave_id]
+    assert (e.state, e.gateway_open, e.segments) == ("Revoked", False, {})
+    chain = fold_transitions(core)[enclave_id]
+    assert chain[-1] == {
+        "enclave_id": enclave_id,
+        "contract_id": "c1",
+        "from": "Serving",
+        "to": "Revoked",
+        "cause": CAUSE_REVOCATION,
+    }
+    revokes = [e.payload for e in core.ledger.events() if e.kind == audit_mod.CONTRACT_REVOKED]
+    assert revokes == [{"contract_id": "c1", "reason": "leak"}]
+    # Nothing is left to shut, so a further revoke is refused as before.
+    assert err_code(call(core, "revoke_contract", {"contract_id": "c1"})) == "StateError"
+
+
+_BEFORE = {"Provisioning": "Defined", "Sealed": "Provisioning", "Serving": "Sealed"}
+
+
+@pytest.mark.parametrize("refused", ["Defined", "Provisioning", "Sealed", "Serving"])
+def test_a_provisioning_step_the_ledger_refuses_is_not_made(refused):
+    core = make_core()
+    ok(core, "submit_contract", {"text": C1_TEXT})
+    token = ok(core, "activate_contract", {"contract_id": "c1"})["token"]
+    append = core.ledger.append
+
+    def refuse(timestamp, actor, kind, payload):
+        if kind == audit_mod.ENCLAVE_TRANSITION and payload["to"] == refused:
+            raise StorageFailure("audit append failed: disk full")
+        return append(timestamp, actor, kind, payload)
+
+    core.ledger.append = refuse
+    assert err_code(call(core, "broker_enclave", {"contract_id": "c1"})) == "StorageFailure"
+    core.ledger.append = append
+    # The enclave holds its last recorded state; with no Defined event,
+    # no enclave is registered at all.
+    fold_transitions(core)
+    assert [e.state for e in core.enclaves.values()] == ([_BEFORE[refused]] if refused in _BEFORE else [])
+    for enclave_id in list(core.enclaves) or ["enc-unrecorded"]:
+        code = err_code(call(core, "open_session", {"enclave_id": enclave_id, "token": token}))
+        assert code in ("EnclaveNotServing", "UnknownEntity")
+    ok(core, "tick", {"seconds": 3600})
+    assert ok(core, "sweep")["expired_enclaves"] == list(core.enclaves)
+    for chain in fold_transitions(core).values():
+        assert (chain[-1]["to"], chain[-1]["cause"]) == ("Expired", "Expiry")
+    for e in core.enclaves.values():
+        assert (e.upstream_open, e.gateway_open, e.segments) == (False, False, {})
 
 
 def test_break_glass_rejects_colliding_contract_ids():
@@ -725,8 +789,8 @@ def test_audit_accounts_for_every_transition_and_query():
 
     events = core.ledger.events()
     transition_events = [e for e in events if e.kind == audit_mod.ENCLAVE_TRANSITION]
-    recorded = sum(len(e.transitions) for e in core.enclaves.values())
-    assert len(transition_events) == recorded
+    chains = fold_transitions(core)
+    assert len(transition_events) == sum(len(chain) for chain in chains.values())
 
     queries = [e for e in events if e.kind in (audit_mod.QUERY_EXECUTED, audit_mod.QUERY_DENIED)]
     assert len(queries) == core.gateway.execute_calls

@@ -13,9 +13,12 @@ from enclave_broker.enclave import (
     CAUSE_BREAK_GLASS_AUTO,
     CAUSE_EXPIRY,
     CAUSE_REVOCATION,
+    DEFINED,
+    PROVISIONING,
+    SEALED,
+    SERVING,
     EnclaveInstance,
     create_enclave,
-    destroy,
     expire_or_revoke,
     open_gate,
     provision,
@@ -29,7 +32,7 @@ from enclave_broker.errors import (
 )
 from enclave_broker.model import Comparison, Literal, Predicate
 
-from conftest import C1_SEGMENT_ROWS, append_row, orders_store
+from conftest import C1_SEGMENT_ROWS, append_row, no_record, orders_store
 from test_contracts import draft
 
 
@@ -40,11 +43,22 @@ def live_contract(**kw):
 def serving(store=None, c=None):
     store = store or orders_store()
     c = c or live_contract()
-    e = create_enclave(c, 0)
-    provision(e, c, store, 0)
-    seal(e, 0)
-    open_gate(e, 0)
+    e = create_enclave(c, 0, no_record)
+    provision(e, c, store, 0, no_record)
+    seal(e, no_record)
+    open_gate(e, no_record)
     return e, c, store
+
+
+def recorder(log):
+    """A `record` that keeps each (from, to, cause) it is given, after
+    checking that it is called before the enclave moves."""
+
+    def record(e, from_state, to_state, cause):
+        assert from_state == (None if to_state == "Defined" else e.state)
+        log.append((from_state, to_state, cause))
+
+    return record
 
 
 def assert_doors(e):
@@ -59,40 +73,38 @@ def assert_doors(e):
 def test_happy_path_states_and_doors():
     store = orders_store()
     c = live_contract()
-    e = create_enclave(c, 0)
+    log = []
+    record = recorder(log)
+    e = create_enclave(c, 0, record)
     assert e.state == "Defined"
     assert_doors(e)
-    provision(e, c, store, 1)
+    provision(e, c, store, 1, record)
     assert e.state == "Provisioning"
     assert e.upstream_open and not e.gateway_open
-    seal(e, 2)
+    seal(e, record)
     assert e.state == "Sealed"
     assert not e.upstream_open
-    assert e.sealed_at == 2
-    open_gate(e, 3)
+    open_gate(e, record)
     assert e.state == "Serving"
     assert e.gateway_open and not e.upstream_open
-    expire_or_revoke(e, CAUSE_EXPIRY, 4)
+    expire_or_revoke(e, CAUSE_EXPIRY, record)
     assert e.state == "Expired"
     assert not e.gateway_open
-    destroy(e, 5)
-    assert e.state == "Destroyed"
     assert e.segments == {}
-    assert [t.to_state for t in e.transitions] == [
+    assert [to_state for _, to_state, _ in log] == [
         "Defined",
         "Provisioning",
         "Sealed",
         "Serving",
         "Expired",
-        "Destroyed",
     ]
 
 
 def test_create_requires_live_contract():
     with pytest.raises(ContractNotLive):
-        create_enclave(draft(), 0)
+        create_enclave(draft(), 0, no_record)
     with pytest.raises(ContractNotLive):
-        create_enclave(live_contract(ttl=10), 10)
+        create_enclave(live_contract(ttl=10), 10, no_record)
 
 
 def test_provision_materializes_fixture_segment():
@@ -100,69 +112,64 @@ def test_provision_materializes_fixture_segment():
     c = live_contract(
         grants=(Grant("warehouse.orders", ("order_id", "amount", "created_at"), pred),)
     )
-    e = create_enclave(c, 0)
-    provision(e, c, orders_store(), 0)
+    e = create_enclave(c, 0, no_record)
+    provision(e, c, orders_store(), 0, no_record)
     assert e.segments[0].rows == C1_SEGMENT_ROWS
 
 
 def test_illegal_transitions_raise_state_error():
     store = orders_store()
     c = live_contract()
-    e = create_enclave(c, 0)
+    e = create_enclave(c, 0, no_record)
     with pytest.raises(StateError):
-        seal(e, 0)
+        seal(e, no_record)
     with pytest.raises(StateError):
-        open_gate(e, 0)
+        open_gate(e, no_record)
+    provision(e, c, store, 0, no_record)
     with pytest.raises(StateError):
-        destroy(e, 0)
-    provision(e, c, store, 0)
+        provision(e, c, store, 0, no_record)
     with pytest.raises(StateError):
-        provision(e, c, store, 0)
+        open_gate(e, no_record)
+    seal(e, no_record)
     with pytest.raises(StateError):
-        open_gate(e, 0)
-    seal(e, 0)
+        seal(e, no_record)
+    open_gate(e, no_record)
     with pytest.raises(StateError):
-        seal(e, 0)
-    open_gate(e, 0)
+        open_gate(e, no_record)
+    expire_or_revoke(e, CAUSE_EXPIRY, no_record)
     with pytest.raises(StateError):
-        open_gate(e, 0)
-    expire_or_revoke(e, CAUSE_EXPIRY, 0)
-    with pytest.raises(StateError):
-        expire_or_revoke(e, CAUSE_EXPIRY, 0)
-    destroy(e, 0)
-    with pytest.raises(StateError):
-        destroy(e, 0)
+        expire_or_revoke(e, CAUSE_EXPIRY, no_record)
 
 
 def test_provision_checks_contract_identity():
     c = live_contract()
     other = live_contract(contract_id="someone-else")
-    e = create_enclave(c, 0)
+    e = create_enclave(c, 0, no_record)
     with pytest.raises(StateError):
-        provision(e, other, orders_store(), 0)
+        provision(e, other, orders_store(), 0, no_record)
 
 
 def test_provision_failure_revokes_and_clears():
     c = live_contract(grants=(Grant("warehouse.orders", None), Grant("ns.ghost", None)))
-    e = create_enclave(c, 0)
+    e = create_enclave(c, 0, no_record)
     with pytest.raises(UnknownSource):
-        provision(e, c, orders_store(), 0)
+        provision(e, c, orders_store(), 0, no_record)
     assert e.state == "Revoked"
     assert not e.upstream_open
     assert e.segments == {}
     assert_doors(e)
     # Never servable afterwards.
     with pytest.raises(StateError):
-        seal(e, 1)
+        seal(e, no_record)
 
 
 def test_seal_requires_every_grant():
     c = live_contract()
-    e = create_enclave(c, 0)
-    provision(e, c, orders_store(), 0)
+    e = create_enclave(c, 0, no_record)
+    provision(e, c, orders_store(), 0, no_record)
     del e.segments[0]
     with pytest.raises(StateError):
-        seal(e, 0)
+        seal(e, no_record)
 
 
 def test_shutdown_causes_map_to_states():
@@ -172,30 +179,31 @@ def test_shutdown_causes_map_to_states():
         (CAUSE_BREAK_GLASS_AUTO, "Expired"),
     ):
         e, _, _ = serving()
-        expire_or_revoke(e, cause, 9)
+        log = []
+        expire_or_revoke(e, cause, recorder(log))
         assert e.state == want
-        assert e.transitions[-1].cause == cause
+        assert log == [("Serving", want, cause)]
         assert_doors(e)
 
 
 def test_shutdown_rejects_bad_cause():
     e, _, _ = serving()
     with pytest.raises(StateError):
-        expire_or_revoke(e, "Operator", 0)
+        expire_or_revoke(e, "Operator", no_record)
 
 
 def test_early_shutdown_allowed():
     # Revocation can hit an enclave in any pre-terminal state.
     c = live_contract()
-    e = create_enclave(c, 0)
-    expire_or_revoke(e, CAUSE_REVOCATION, 0)
+    e = create_enclave(c, 0, no_record)
+    expire_or_revoke(e, CAUSE_REVOCATION, no_record)
     assert e.state == "Revoked"
 
 
 def test_forged_door_is_caught():
     c = live_contract()
-    e = create_enclave(c, 0)
-    provision(e, c, orders_store(), 0)
+    e = create_enclave(c, 0, no_record)
+    provision(e, c, orders_store(), 0, no_record)
     e.gateway_open = True  # sabotage
     with pytest.raises(ManTrapViolation):
         e.check_doors()
@@ -207,16 +215,16 @@ def test_forged_door_is_caught():
 
 def test_open_gate_defends_against_forged_upstream():
     c = live_contract()
-    e = create_enclave(c, 0)
-    provision(e, c, orders_store(), 0)
-    seal(e, 0)
+    e = create_enclave(c, 0, no_record)
+    provision(e, c, orders_store(), 0, no_record)
+    seal(e, no_record)
     e.upstream_open = True  # sabotage after seal
     with pytest.raises(ManTrapViolation):
-        open_gate(e, 0)
+        open_gate(e, no_record)
 
 
 def segments_digest(e: EnclaveInstance) -> str:
-    """Content hash of the segments; constant from seal to destroy."""
+    """Content hash of the segments; constant from seal until shutdown."""
     body = {
         str(i): {
             "origin": s.origin,
@@ -230,15 +238,14 @@ def segments_digest(e: EnclaveInstance) -> str:
     return hashlib.sha256(canonical_bytes(body)).hexdigest()
 
 
-def test_post_seal_digest_constant_until_destroy():
+def test_post_seal_digest_constant_until_shutdown():
     store = orders_store()
     e, c, _ = serving(store)
     at_seal = segments_digest(e)
     append_row(store, "warehouse.orders", (7, "initech", 10, "2024-10-04"))
-    expire_or_revoke(e, CAUSE_EXPIRY, 9)
     assert segments_digest(e) == at_seal
-    destroy(e, 10)
-    assert segments_digest(e) != at_seal
+    expire_or_revoke(e, CAUSE_EXPIRY, no_record)
+    assert e.segments == {}
 
 
 def test_sealed_enclave_holds_no_store_reference():
@@ -257,7 +264,7 @@ def test_sealed_enclave_holds_no_store_reference():
         assert obj is not store
         assert id(obj) not in tables
         if isinstance(obj, EnclaveInstance):
-            stack.extend([obj.segments, obj.transitions])
+            stack.append(obj.segments)
         elif isinstance(obj, dict):
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple)):
@@ -267,3 +274,67 @@ def test_sealed_enclave_holds_no_store_reference():
     gc.collect()
     refs = gc.get_referrers(store)
     assert e not in refs
+
+
+class Refused(Exception):
+    pass
+
+
+def refuse(e, from_state, to_state, cause):
+    raise Refused(f"{from_state} -> {to_state}")
+
+
+def enclave_at(state):
+    """A fresh enclave brought to `state` by the legal steps."""
+    store = orders_store()
+    c = live_contract()
+    e = create_enclave(c, 0, no_record)
+    steps = (
+        lambda: provision(e, c, store, 0, no_record),
+        lambda: seal(e, no_record),
+        lambda: open_gate(e, no_record),
+    )
+    for step in steps[: (DEFINED, PROVISIONING, SEALED, SERVING).index(state)]:
+        step()
+    return e, c, store
+
+
+@pytest.mark.parametrize(
+    "state,step",
+    [(DEFINED, "provision"), (PROVISIONING, "seal"), (SEALED, "open_gate")]
+    + [
+        (state, cause)
+        for cause in (CAUSE_EXPIRY, CAUSE_REVOCATION, CAUSE_BREAK_GLASS_AUTO)
+        for state in (DEFINED, PROVISIONING, SEALED, SERVING)
+    ],
+)
+def test_a_transition_whose_record_raises_is_not_made(state, step):
+    e, c, store = enclave_at(state)
+    make = {
+        "provision": lambda: provision(e, c, store, 0, refuse),
+        "seal": lambda: seal(e, refuse),
+        "open_gate": lambda: open_gate(e, refuse),
+    }.get(step, lambda: expire_or_revoke(e, step, refuse))
+    before = (e.state, e.upstream_open, e.gateway_open, dict(e.segments))
+    with pytest.raises(Refused):
+        make()
+    assert (e.state, e.upstream_open, e.gateway_open, dict(e.segments)) == before
+
+
+def test_a_failed_provision_whose_revocation_is_refused_stays_as_recorded():
+    c = live_contract(grants=(Grant("warehouse.orders", None), Grant("ns.ghost", None)))
+    e = create_enclave(c, 0, no_record)
+    log = []
+    keep = recorder(log)
+
+    def record(e, from_state, to_state, cause):
+        if to_state == "Revoked":
+            refuse(e, from_state, to_state, cause)
+        keep(e, from_state, to_state, cause)
+
+    with pytest.raises(Refused):
+        provision(e, c, orders_store(), 0, record)
+    assert log[-1][1] == e.state == "Provisioning"
+    # The next recorded shutdown closes the door and wipes the rows.
+    expire_or_revoke(e, CAUSE_EXPIRY, no_record)
+    assert (e.upstream_open, e.gateway_open, e.segments) == (False, False, {})

@@ -31,7 +31,7 @@ from enclave_broker.model import Comparison, Literal, Predicate, days_to_date
 from enclave_broker.query import parse_query
 from enclave_broker.store import EncodedRows, TableStore
 
-from conftest import ORDERS_SCHEMA, append_row, orders_store
+from conftest import ORDERS_SCHEMA, append_row, no_record, orders_store
 from test_contracts import draft
 
 TOKEN = "tok-alpha"
@@ -54,10 +54,10 @@ def rig(c=None, store=None, now=0):
         ),
         now,
     )
-    e = create_enclave(c, now)
-    provision(e, c, store, now)
-    seal(e, now)
-    open_gate(e, now)
+    e = create_enclave(c, now, no_record)
+    provision(e, c, store, now, no_record)
+    seal(e, no_record)
+    open_gate(e, no_record)
     gw = BrokerCore(BrokerConfig(), store=store).gateway
     return gw, e, c, store
 
@@ -78,7 +78,7 @@ def open_rig(now=0):
 
 def test_open_session_requires_serving():
     gw, e, c, _ = rig()
-    expire_or_revoke(e, CAUSE_EXPIRY, 1)
+    expire_or_revoke(e, CAUSE_EXPIRY, no_record)
     with pytest.raises(EnclaveNotServing):
         gw.open_session(e, c, TOKEN, TOKEN, 1)
 
@@ -130,7 +130,7 @@ def test_authorize_decision_table():
     s.closed = False
     # A session on an enclave that has left Serving is dead, even before
     # its contract stops being live.
-    expire_or_revoke(e, CAUSE_REVOCATION, now)
+    expire_or_revoke(e, CAUSE_REVOCATION, no_record)
     assert authorize(q("SHOW TABLES"), c, s, e, now) == "SessionDead"
     assert authorize(q("SELECT order_id FROM orders"), c, s, e, now) == "SessionDead"
 
@@ -145,7 +145,7 @@ def test_authorize_expiry_outranks_invalidated_session():
     # A sweep both expires the contract and shuts its enclave; the
     # contract is the reason the access died, so that is the answer.
     gw, e, c, s = open_rig()
-    expire_or_revoke(e, CAUSE_EXPIRY, 3600)
+    expire_or_revoke(e, CAUSE_EXPIRY, no_record)
     assert authorize(q("SELECT order_id FROM orders"), c, s, e, 3600) == "ContractExpired"
 
 
@@ -481,12 +481,12 @@ def test_invalidation_kills_all_enclave_sessions():
     s2 = gw.open_session(e, c, TOKEN, TOKEN, 0)
     # A session on another contract's enclave, through the same gateway.
     other_c = replace(c, contract_id="c-other")
-    other_e = create_enclave(other_c, 0)
-    provision(other_e, other_c, store, 0)
-    seal(other_e, 0)
-    open_gate(other_e, 0)
+    other_e = create_enclave(other_c, 0, no_record)
+    provision(other_e, other_c, store, 0, no_record)
+    seal(other_e, no_record)
+    open_gate(other_e, no_record)
     other = gw.open_session(other_e, other_c, TOKEN, TOKEN, 0)
-    expire_or_revoke(e, CAUSE_REVOCATION, 1)
+    expire_or_revoke(e, CAUSE_REVOCATION, no_record)
     for s in (s1, s2):
         with pytest.raises(DenialError) as exc:
             gw.execute(s, e, c, "SELECT order_id FROM orders", 1)
