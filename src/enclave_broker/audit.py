@@ -7,9 +7,10 @@ answers who accessed what, when, and under which contract, and it can
 prove nobody rewrote the answer.
 
 Persistence is JSON-Lines: one canonically encoded event per line, in
-`audit.log` or, with no data dir, in an in-memory buffer that the same
-code reads and writes. Opening the log checks that every line is a
-readable event but not the chain, which only `verify` checks.
+one file. Opening the log checks that every line is a readable event
+but not the chain, which only `verify` checks. An append that fails
+leaves the file as it was: its bytes are cut back off, and if even that
+fails the ledger closes, so every later append fails too.
 
 The hash rule is defined on a line's bytes: an event's hash is the
 SHA-256 of its line with the trailing newline and the first
@@ -39,8 +40,8 @@ who can write the data dir could forge it.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import os
 from dataclasses import dataclass
 
 from .canonical import canonical_bytes
@@ -128,22 +129,25 @@ def compute_hash(seq: int, timestamp: int, actor: str, kind: str, payload: dict,
 
 
 class AuditLedger:
-    """The chain's length and head, over its file or an in-memory buffer.
+    """The chain's length and head, over its file.
 
     No event object is kept: the open reads the log once and keeps only
     the event count and the last hash, which is all an append needs.
-    Appends are flushed before the triggering operation is allowed to
-    report success; anything that wants the events back reads them from
-    the log.
+    Each append is written, unbuffered, before the triggering operation
+    is allowed to report success; anything that wants the events back
+    reads them from the log.
     """
 
-    def __init__(self, path=None):
+    def __init__(self, path):
         self._path = path
         self._memo = _START  # where the last verify of the log left off
-        self._fh = io.BytesIO() if path is None else open(path, "a+b")
+        # Unbuffered, so a refused write leaves no bytes behind to reach
+        # the file with the next append's.
+        self._fh = open(path, "ab", buffering=0)
         try:
-            self._fh.seek(0)
-            self._count, self._last = _head(self._fh, path)
+            with open(path, "rb") as reader:
+                self._count, self._last = _head(reader, path)
+            self._size = os.fstat(self._fh.fileno()).st_size
         except BaseException:
             self._fh.close()
             raise
@@ -155,14 +159,8 @@ class AuditLedger:
     def __len__(self) -> int:
         return self._count
 
-    def _reader(self):
-        """A new binary stream over the log as written so far, at byte 0."""
-        if self._path is None:
-            return io.BytesIO(self._fh.getvalue())
-        return open(self._path, "rb")
-
     def events(self) -> list[AuditEvent]:
-        with self._reader() as fh:
+        with open(self._path, "rb") as fh:
             return [AuditEvent(*(obj[f] for f in _FIELDS)) for obj in _records(fh, self._path)]
 
     def append(self, timestamp: int, actor: str, kind: str, payload: dict) -> AuditEvent:
@@ -173,12 +171,22 @@ class AuditLedger:
         event = AuditEvent(seq, timestamp, actor, kind, payload, prev, digest)
         line = canonical_bytes(event.to_json()) + b"\n"
         try:
-            self._fh.write(line)
-            self._fh.flush()
+            rest = memoryview(line)
+            while rest:
+                rest = rest[self._fh.write(rest) :]
         except (OSError, ValueError) as exc:  # ValueError: the ledger is closed
+            self._cut_back()
             raise StorageFailure(f"audit append failed: {exc}") from None
-        self._count, self._last = seq + 1, digest
+        self._count, self._last, self._size = seq + 1, digest, self._size + len(line)
         return event
+
+    def _cut_back(self) -> None:
+        """Cut the file back to its last good size after a failed write;
+        if that fails too, close the ledger for good."""
+        try:
+            os.ftruncate(self._fh.fileno(), self._size)
+        except (OSError, ValueError):
+            self._fh.close()
 
     def verify(self) -> int | None:
         """Recheck the chain; returns the first bad seq, or None if intact.
@@ -188,13 +196,12 @@ class AuditLedger:
         call already checked are only rehashed against its digest;
         parsing resumes where that call stopped.
         """
-        with self._reader() as fh:
+        with open(self._path, "rb") as fh:
             bad, self._memo = _verify_lines(fh, self._memo)
         return bad
 
     def close(self):
-        if self._path is not None:  # an in-memory log's buffer is its only copy
-            self._fh.close()
+        self._fh.close()
 
 
 _FIELDS = ("seq", "timestamp", "actor", "kind", "payload", "prev_hash", "hash")

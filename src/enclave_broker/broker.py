@@ -23,7 +23,7 @@ from . import contracts as contracts_mod
 from . import enclave as enclave_mod
 from .audit import AuditEvent, AuditLedger
 from .breakglass import BreakGlassService
-from .canonical import canonical_json
+from .canonical import canonical_bytes
 from .clock import LOGICAL, WALL, LogicalClock, WallClock
 from .contracts import ACTIVE, DataContract, canonical_encode, is_live, validate_contract
 from .errors import (
@@ -32,6 +32,7 @@ from .errors import (
     BrokerError,
     DuplicateContract,
     StateError,
+    StorageFailure,
     UnknownEntity,
     ValidationFailed,
 )
@@ -75,7 +76,7 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 @dataclass
 class BrokerConfig:
-    data_dir: str | None = None  # None keeps everything in memory
+    data_dir: str  # contracts, clock.json and audit.log
     tables: dict[str, str] = field(default_factory=dict)  # qualified name -> CSV path
     volume_threshold: int = DEFAULT_VOLUME_THRESHOLD
     probing_threshold: int = DEFAULT_PROBING_THRESHOLD
@@ -89,25 +90,22 @@ class BrokerConfig:
 class BrokerCore:
     """All broker state and every protocol op, minus the socket."""
 
-    def __init__(self, config: BrokerConfig, store: TableStore | None = None):
+    def __init__(self, config: BrokerConfig):
         if config.clock_mode not in (WALL, LOGICAL):
             raise BadConfig(f"unknown clock mode {config.clock_mode!r}")
         self.config = config
         self._lock = threading.RLock()
-        self._data_dir = Path(config.data_dir) if config.data_dir else None
-        self._contracts_dir = None
-        if self._data_dir is not None:
-            self._contracts_dir = self._data_dir / "contracts"
-            self._contracts_dir.mkdir(parents=True, exist_ok=True)
+        self._data_dir = Path(config.data_dir)
+        self._contracts_dir = self._data_dir / "contracts"
+        self._contracts_dir.mkdir(parents=True, exist_ok=True)
         if config.clock_mode == WALL:
             self.clock = WallClock()
         else:
             self.clock = LogicalClock(self._load_clock())
-        self.store = store if store is not None else TableStore()
+        self.store = TableStore()
         for name, path in config.tables.items():
             load_table_csv(self.store, name, path)
-        ledger_path = str(self._data_dir / "audit.log") if self._data_dir else None
-        self.ledger = AuditLedger(ledger_path)
+        self.ledger = AuditLedger(str(self._data_dir / "audit.log"))
         self.monitor = AccessMonitor(
             config.volume_threshold, config.probing_threshold, config.probing_window
         )
@@ -123,37 +121,28 @@ class BrokerCore:
     # ---------------- persistence ----------------
 
     def _load_clock(self) -> int:
-        if self._data_dir is None:
-            return 0
         path = self._data_dir / "clock.json"
         if not path.exists():
             return 0
-        return int(json.loads(path.read_text())["now"])
+        return int(json.loads(path.read_text(encoding="utf-8"))["now"])
 
     def _save_clock(self):
-        if self._data_dir is not None and self.clock.mode == LOGICAL:
-            path = self._data_dir / "clock.json"
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(canonical_json({"now": self.clock.now()}))
-            tmp.replace(path)
+        if self.clock.mode == LOGICAL:
+            _write_file(self._data_dir / "clock.json", canonical_bytes({"now": self.clock.now()}))
 
     def _contract_path(self, contract_id: str) -> Path:
         safe = urllib.parse.quote(contract_id, safe="")
         return self._contracts_dir / f"{safe}.json"
 
     def _save_contract(self, c: DataContract):
+        """Hold `c` and write its file. A failed write answers
+        StorageFailure; memory keeps `c`, as the ledger already does."""
         self.contracts[c.contract_id] = c
-        if self._contracts_dir is not None:
-            path = self._contract_path(c.contract_id)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_bytes(canonical_encode(c))
-            tmp.replace(path)
+        _write_file(self._contract_path(c.contract_id), canonical_encode(c))
 
     def _load_contracts(self):
-        if self._contracts_dir is None:
-            return
         for path in sorted(self._contracts_dir.glob("*.json")):
-            c = DataContract.from_json(json.loads(path.read_text()))
+            c = DataContract.from_json(json.loads(path.read_text(encoding="utf-8")))
             self.contracts[c.contract_id] = c
 
     # ---------------- lookups ----------------
@@ -491,8 +480,8 @@ class BrokerCore:
     def handle(self, request: dict) -> dict:
         """One Request in, one Response out; never raises."""
         req_id = request.get("id") if isinstance(request, dict) else None
-        if _holds_lone_surrogate(req_id):
-            return _error(None, "BadRequest", "id holds a lone surrogate")
+        if not _echoable(req_id):
+            return _error(None, "BadRequest", "id cannot be echoed as canonical UTF-8 JSON")
         if not isinstance(request, dict) or not isinstance(request.get("op"), str):
             return _error(req_id, "BadRequest", "request must carry a string op")
         op = request["op"]
@@ -530,11 +519,26 @@ class BrokerCore:
         self.ledger.close()
 
 
-def _holds_lone_surrogate(value) -> bool:
-    """Does this JSON value hold, anywhere, a string UTF-8 cannot encode?"""
-    if isinstance(value, (list, dict)):
-        value = json.dumps(value, ensure_ascii=False)
-    return isinstance(value, str) and _LONE_SURROGATE.search(value) is not None
+def _write_file(path: Path, data: bytes) -> None:
+    """Replace `path` with `data` by a tmp write and a rename; a failure
+    is a StorageFailure."""
+    tmp = path.with_suffix(".tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except OSError as exc:
+        raise StorageFailure(f"cannot write {path}: {exc}") from None
+
+
+def _echoable(value) -> bool:
+    """Can a reply carry this JSON value? Not if it holds NaN or an
+    infinity, which canonical JSON refuses, or a lone surrogate, which
+    UTF-8 cannot encode."""
+    try:
+        canonical_bytes(value)
+    except (ValueError, RecursionError):  # UnicodeEncodeError is a ValueError
+        return False
+    return True
 
 
 def _error(req_id, code: str, message: str) -> dict:

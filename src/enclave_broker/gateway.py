@@ -106,7 +106,6 @@ class QueryGateway:
     def __init__(self, emit):
         self._emit = emit
         self.sessions: dict[str, Session] = {}
-        self.execute_calls = 0
 
     def open_session(
         self,
@@ -160,7 +159,6 @@ class QueryGateway:
         now: int,
     ) -> QueryResult:
         """parse, authorize, evaluate; always audited, so always monitored."""
-        self.execute_calls += 1
         try:
             ast = parse_query(text)
         except ParseError as exc:

@@ -152,29 +152,3 @@ class SchemaCatalog:
                 return typ
         return None
 
-
-def check_cell(value, column_type: str, where: str = "cell"):
-    """Validate and normalize one stored cell against its column type."""
-    if column_type == INT:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeMismatch(f"{where}: expected INT, got {value!r}")
-        return value
-    if column_type == REAL:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeMismatch(f"{where}: expected REAL, got {value!r}")
-        v = float(value)
-        if not math.isfinite(v):
-            raise TypeMismatch(f"{where}: REAL must be finite, got {value!r}")
-        return v
-    if column_type == TEXT:
-        if not isinstance(value, str):
-            raise TypeMismatch(f"{where}: expected TEXT, got {value!r}")
-        return value
-    if column_type == DATE:
-        if not isinstance(value, str):
-            raise TypeMismatch(f"{where}: expected DATE text, got {value!r}")
-        try:
-            return normalize_date(value)
-        except TypeMismatch as exc:
-            raise TypeMismatch(f"{where}: {exc}") from None
-    raise TypeMismatch(f"{where}: unknown column type {column_type!r}")

@@ -13,11 +13,10 @@ have paid for it (`ColumnOrders`). A segment that has sent its rows
 often enough in full-width results also keeps their canonical JSON
 (`WireForm`), and splices that JSON by those positions.
 
-Cells are checked once, by one check per input form. A table CSV's text
-cells go through its column converters as they are read, and each bad
-cell, DATE included, is a `TypeMismatch` naming the path, line and
-column. Rows of Python values given to `register_table` go through
-`model.check_cell`, one cell at a time.
+Tables come in one form, a CSV file (`load_table_csv`), and each cell
+is checked once: its column's converter turns its text into the stored
+value as it is read, and each bad cell, DATE included, is a
+`TypeMismatch` naming the path, line and column.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .model import (
     TEXT,
     Predicate,
     SchemaCatalog,
-    check_cell,
     date_to_days,
     days_to_date,
     normalize_date,
@@ -431,40 +429,10 @@ def project(picks: list[int], width: int) -> Callable[[Iterable[tuple]], tuple[t
 
 
 class TableStore:
-    """Registry of immutable-schema tables; every read is counted.
-
-    The read counter exists so tests can prove the serving path never
-    touches the store once an enclave is sealed.
-    """
+    """Registry of immutable-schema tables, each loaded by `load_table_csv`."""
 
     def __init__(self):
         self._tables: dict[str, Table] = {}
-        self.reads = 0
-
-    def register_table(
-        self, name: str, schema: tuple[tuple[str, str], ...], rows: list
-    ) -> Table:
-        """Register `name` with rows of Python values, each cell checked
-        and normalized by `check_cell`."""
-        self._check_new(name, schema)
-        return self._insert(name, schema, _checked_rows(name, schema, rows))
-
-    def _check_new(self, name: str, schema: tuple[tuple[str, str], ...]) -> None:
-        if name in self._tables:
-            raise DuplicateTable(f"table {name} already registered")
-        if "." not in name:
-            raise BadConfig(f"table name must be qualified namespace.table, got {name!r}")
-        for col, typ in schema:
-            if typ not in COLUMN_TYPES:
-                raise TypeMismatch(f"{name}.{col}: unknown column type {typ!r}")
-        names = [col for col, _ in schema]
-        if len(set(names)) != len(names):
-            raise BadConfig(f"table {name}: duplicate column names")
-
-    def _insert(self, name: str, schema: tuple[tuple[str, str], ...], rows: list[tuple]) -> Table:
-        """Add a table that passed `_check_new`, whose rows hold only final cells."""
-        table = self._tables[name] = Table(name, tuple(schema), rows)
-        return table
 
     def _get(self, name: str) -> Table:
         if name not in self._tables:
@@ -480,7 +448,6 @@ class TableStore:
         Row order follows the source table. The grant must already have
         been validated against this store's catalog.
         """
-        self.reads += 1
         table = self._get(name)
         schema = table.schema
         if g.columns is None:
@@ -502,23 +469,6 @@ class TableStore:
             rows=rows,
             extracted_at=now,
         )
-
-
-def _checked_rows(name: str, schema: tuple[tuple[str, str], ...], rows: list) -> list[tuple]:
-    """`rows` as tuples whose every cell passes `check_cell`, normalized
-    as `check_cell` normalizes it; the first bad row or cell, in
-    row-major order, raises."""
-    checked = []
-    for rownum, row in enumerate(rows):
-        if len(row) != len(schema):
-            raise TypeMismatch(f"{name} row {rownum}: expected {len(schema)} cells")
-        checked.append(
-            tuple(
-                check_cell(cell, typ, f"{name} row {rownum} column {col}")
-                for cell, (col, typ) in zip(row, schema)
-            )
-        )
-    return checked
 
 
 def _real(text: str) -> float:
@@ -565,7 +515,9 @@ def load_table_csv(store: TableStore, name: str, path) -> Table:
     second check. A record of the wrong width is a `TypeMismatch` naming
     the path and line; a cell that does not convert, DATE included, is a
     `TypeMismatch` naming the path, line and column. A file that is not
-    UTF-8 is a `BadConfig`.
+    UTF-8 is a `BadConfig`. Then the table itself is checked: a name
+    already loaded is a `DuplicateTable`, and a name with no namespace,
+    an unknown column type or a repeated column name is refused.
 
     Records are converted one at a time as they are read, so the kept
     TEXT cells of consecutive rows sit together in memory. Converting 32
@@ -577,8 +529,18 @@ def load_table_csv(store: TableStore, name: str, path) -> Table:
         schema, rows = _read_csv(path)
     except UnicodeDecodeError as exc:
         raise BadConfig(f"{path}: table CSV is not UTF-8 ({exc.reason})") from None
-    store._check_new(name, schema)
-    return store._insert(name, schema, rows)
+    if name in store._tables:
+        raise DuplicateTable(f"table {name} already registered")
+    if "." not in name:
+        raise BadConfig(f"table name must be qualified namespace.table, got {name!r}")
+    for col, typ in schema:
+        if typ not in COLUMN_TYPES:
+            raise TypeMismatch(f"{name}.{col}: unknown column type {typ!r}")
+    names = [col for col, _ in schema]
+    if len(set(names)) != len(names):
+        raise BadConfig(f"table {name}: duplicate column names")
+    table = store._tables[name] = Table(name, schema, rows)
+    return table
 
 
 def _read_csv(path) -> tuple[tuple[tuple[str, str], ...], list[tuple]]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -10,8 +13,9 @@ from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.contract_dsl import parse_contract
 from enclave_broker.contracts import activate, is_live
 from enclave_broker.errors import TypeMismatch
-from enclave_broker.model import DATE, INT, TEXT, check_cell
-from enclave_broker.store import TableStore
+from enclave_broker.model import DATE, INT, TEXT
+from enclave_broker.store import TableStore, load_table_csv
+from reference_loaders import check_cell
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -70,15 +74,69 @@ def append_row(store: TableStore, name: str, row: tuple) -> None:
     )
 
 
-def orders_store() -> TableStore:
+def write_csv(directory, name: str, schema, rows) -> str:
+    """Write `rows` under `schema` as the table CSV `<name>.csv` in
+    `directory`, with the csv module; returns its path."""
+    path = Path(directory) / f"{name}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([col for col, _ in schema])
+        writer.writerow([typ for _, typ in schema])
+        writer.writerows(rows)
+    return str(path)
+
+
+def csv_table(directory, name: str, schema, rows) -> TableStore:
+    """A store holding `name`, loaded by `load_table_csv` from `rows`
+    written as a CSV in `directory`."""
     store = TableStore()
-    store.register_table("warehouse.orders", ORDERS_SCHEMA, list(ORDERS_ROWS))
+    load_table_csv(store, name, write_csv(directory, name, schema, rows))
     return store
 
 
-def make_core(data_dir=None, **overrides) -> BrokerCore:
-    config = BrokerConfig(data_dir=str(data_dir) if data_dir else None, **overrides)
-    return BrokerCore(config, store=orders_store())
+def count_extracts(monkeypatch) -> list[str]:
+    """The table each `TableStore.extract_segment` call reads, from now
+    until the test ends."""
+    calls = []
+    plain = TableStore.extract_segment
+
+    def counted(self, name, *args, **kwargs):
+        calls.append(name)
+        return plain(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(TableStore, "extract_segment", counted)
+    return calls
+
+
+def orders_store(directory) -> TableStore:
+    return csv_table(directory, "warehouse.orders", ORDERS_SCHEMA, ORDERS_ROWS)
+
+
+# Every core `make_core` built in the running test; each is closed at its teardown.
+_CORES: list[BrokerCore] = []
+
+
+def make_core(data_dir, **overrides) -> BrokerCore:
+    """A core on `data_dir` (made if missing), configured as the daemon
+    is: unless `tables` is given, the orders table comes from
+    `ORDERS_CSV`, written into the data dir and named in `tables`. The
+    core is closed at the test's teardown."""
+    data_dir = Path(data_dir)
+    data_dir.mkdir(parents=True, exist_ok=True)
+    if "tables" not in overrides:
+        path = data_dir / "warehouse.orders.csv"
+        path.write_text(ORDERS_CSV, encoding="utf-8")
+        overrides["tables"] = {"warehouse.orders": str(path)}
+    core = BrokerCore(BrokerConfig(data_dir=str(data_dir), **overrides))
+    _CORES.append(core)
+    return core
+
+
+@pytest.fixture(autouse=True)
+def _close_cores():
+    yield
+    while _CORES:
+        _CORES.pop().close()
 
 
 def live_grants(core: BrokerCore) -> list:
@@ -110,8 +168,8 @@ def fold_transitions(core: BrokerCore) -> dict[str, list[dict]]:
 
 
 @pytest.fixture
-def store() -> TableStore:
-    return orders_store()
+def store(tmp_path) -> TableStore:
+    return orders_store(tmp_path)
 
 
 @pytest.fixture
@@ -125,8 +183,8 @@ def c1_active(c1_draft):
 
 
 @pytest.fixture
-def core() -> BrokerCore:
-    return make_core()
+def core(tmp_path) -> BrokerCore:
+    return make_core(tmp_path)
 
 
 @pytest.fixture

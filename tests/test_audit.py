@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -31,8 +34,14 @@ def fill(ledger: AuditLedger, n: int):
         ledger.append(i, f"actor{i % 3}", KINDS[i % len(KINDS)], {"i": i, "note": "x" * (i % 5)})
 
 
-def test_chain_links_and_hashes():
-    ledger = AuditLedger()
+@pytest.fixture
+def ledger(tmp_path):
+    ledger = AuditLedger(str(tmp_path / "audit.log"))
+    yield ledger
+    ledger.close()
+
+
+def test_chain_links_and_hashes(ledger):
     fill(ledger, 5)
     events = ledger.events()
     assert events[0].prev_hash == GENESIS
@@ -44,21 +53,18 @@ def test_chain_links_and_hashes():
     assert ledger.verify() is None
 
 
-def test_unknown_kind_rejected():
+def test_unknown_kind_rejected(ledger):
     with pytest.raises(StorageFailure):
-        AuditLedger().append(0, "a", "MadeUpKind", {})
+        ledger.append(0, "a", "MadeUpKind", {})
+    assert len(ledger) == 0
 
 
 def _rewrite(ledger: AuditLedger, rows: list[dict]) -> None:
-    """Replace an in-memory ledger's bytes with `rows`, one line each."""
-    buf = ledger._fh
-    buf.seek(0)
-    buf.truncate()
-    buf.write(b"".join(canonical_json(r).encode("utf-8") + b"\n" for r in rows))
+    """Replace the ledger file's bytes with `rows`, one line each."""
+    Path(ledger.path).write_bytes(b"".join(canonical_json(r).encode("utf-8") + b"\n" for r in rows))
 
 
-def test_verify_flags_first_bad():
-    ledger = AuditLedger()
+def test_verify_flags_first_bad(ledger):
     fill(ledger, 6)
     rows = [e.to_json() for e in ledger.events()]
     rows[3]["payload"]["i"] = 999
@@ -285,13 +291,12 @@ def test_self_consistent_line_that_is_not_one_event_is_bad(tmp_path, payload, ex
     assert verify_file(path) == 3
 
 
-def test_the_cut_must_hold_the_hash_it_checks():
+def test_the_cut_must_hold_the_hash_it_checks(ledger):
     # A parsed hash that matches the cut bytes is not enough: the 64
     # digits cut out must be that hash, or the cut could take in part of
     # a longer, escaped hash field and leave its tail in the hashed bytes.
-    ledger = AuditLedger()
     fill(ledger, 1)
-    raw = ledger._fh.getvalue()
+    raw = Path(ledger.path).read_bytes()
     obj = json.loads(raw)
     assert audit._check_line(raw, obj, 0, GENESIS) == obj["hash"]
     assert audit._check_line(raw.replace(obj["hash"].encode(), b"0" * 64), obj, 0, GENESIS) is None
@@ -346,16 +351,21 @@ _JSON_VALUES = st.recursive(
     )
 )
 def test_byte_rule_gives_compute_hash_for_every_appended_line(events):
-    ledger = AuditLedger()
-    written = [ledger.append(*event) for event in events]
-    lines = ledger._fh.getvalue().splitlines(keepends=True)
-    prev = GENESIS
-    for event, raw in zip(written, lines):
-        obj = audit._DECODER.decode(raw.decode("utf-8"))
-        expected = compute_hash(event.seq, event.timestamp, event.actor, event.kind, event.payload, event.prev_hash)
-        assert audit._check_line(raw, obj, event.seq, prev) == expected == event.hash
-        prev = expected
-    assert ledger.verify() is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.log"
+        ledger = AuditLedger(str(path))
+        try:
+            written = [ledger.append(*event) for event in events]
+            lines = path.read_bytes().splitlines(keepends=True)
+            prev = GENESIS
+            for event, raw in zip(written, lines):
+                obj = audit._DECODER.decode(raw.decode("utf-8"))
+                expected = compute_hash(event.seq, event.timestamp, event.actor, event.kind, event.payload, event.prev_hash)
+                assert audit._check_line(raw, obj, event.seq, prev) == expected == event.hash
+                prev = expected
+            assert ledger.verify() is None
+        finally:
+            ledger.close()
 
 
 def _last_hash(ledger: AuditLedger) -> str:
@@ -466,16 +476,6 @@ def test_repeat_verify_checks_only_new_lines(tmp_path, monkeypatch):
     ledger.close()
 
 
-def test_verify_without_a_file_rechecks_memory():
-    ledger = AuditLedger()
-    fill(ledger, 5)
-    assert ledger.verify() is None
-    rows = [e.to_json() for e in ledger.events()]
-    rows[2] = rows[3]
-    _rewrite(ledger, rows)
-    assert ledger.verify() == 2
-
-
 def test_corrupt_file_rejected_on_load(tmp_path):
     path = tmp_path / "audit.log"
     path.write_text("{]\n", encoding="utf-8")
@@ -505,6 +505,75 @@ def test_append_to_a_closed_ledger_fails(tmp_path):
     again.close()
 
 
+# Three appends, then a fourth under a file size cap that lets only 10 of
+# its bytes reach the file, then a fifth with the cap lifted. SIGXFSZ is
+# ignored, so the capped write fails with EFBIG instead of ending the
+# process. With "refuse-truncate", cutting the file back fails too.
+_CAPPED_APPEND = """
+import os, resource, signal, sys
+from enclave_broker.audit import KINDS, AuditLedger, verify_file
+from enclave_broker.errors import StorageFailure
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+path, mode = sys.argv[1:]
+if mode == "refuse-truncate":
+    def refuse(fd, size):
+        raise OSError("truncate refused")
+    os.ftruncate = refuse
+ledger = AuditLedger(path)
+for i in range(3):
+    ledger.append(i, "a", KINDS[0], {"i": i})
+soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+resource.setrlimit(resource.RLIMIT_FSIZE, (os.path.getsize(path) + 10, hard))
+outcomes = []
+for i in (3, 4):
+    try:
+        ledger.append(i, "a", KINDS[0], {"i": i})
+        outcomes.append("ok")
+    except StorageFailure:
+        outcomes.append("StorageFailure")
+    resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+ledger.close()
+print(outcomes, len(ledger), verify_file(path))
+"""
+
+
+def _capped_append(tmp_path, mode: str) -> tuple[str, bytes]:
+    path = tmp_path / "audit.log"
+    src = str(Path(audit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_APPEND, str(path), mode],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip(), path.read_bytes()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_a_refused_append_leaves_the_file_as_it_was(tmp_path):
+    out, data = _capped_append(tmp_path, "cut-back")
+    # The refused event never reaches the file, not even with the next
+    # append, so the chain holds and the next event takes its seq.
+    assert out == "['StorageFailure', 'ok'] 4 None"
+    lines = data.splitlines()
+    assert [json.loads(line)["seq"] for line in lines] == [0, 1, 2, 3]
+    assert json.loads(lines[3])["payload"] == {"i": 4}
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs RLIMIT_FSIZE and SIGXFSZ")
+def test_a_refused_append_that_cannot_be_cut_back_closes_the_ledger(tmp_path):
+    out, data = _capped_append(tmp_path, "refuse-truncate")
+    # The 10 bytes stay as a torn tail, the first bad seq, and no append
+    # may follow them.
+    assert out == "['StorageFailure', 'StorageFailure'] 3 3"
+    lines = data.split(b"\n")
+    assert len(lines) == 4 and len(lines[3]) == 10
+
+
 def test_open_holds_no_events(tmp_path):
     # The open keeps the count and the last hash, not the 5k events.
     path = make_file(tmp_path, 5000)
@@ -522,9 +591,12 @@ def test_open_holds_no_events(tmp_path):
 
 
 def _chain_lines(n: int) -> list[bytes]:
-    ledger = AuditLedger()
-    fill(ledger, n)
-    return [canonical_json(e.to_json()).encode("utf-8") + b"\n" for e in ledger.events()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.log"
+        ledger = AuditLedger(str(path))
+        fill(ledger, n)
+        ledger.close()
+        return path.read_bytes().splitlines(keepends=True)
 
 
 _CHAIN = _chain_lines(8)

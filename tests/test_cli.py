@@ -32,7 +32,7 @@ def no_ambient_endpoint(monkeypatch):
 
 @pytest.fixture
 def endpoint(tmp_path):
-    srv = BrokerServer(make_core(bg_accounts=("alice", "bob", "carol")), str(tmp_path / "b.sock"))
+    srv = BrokerServer(make_core(tmp_path / "data", bg_accounts=("alice", "bob", "carol")), str(tmp_path / "b.sock"))
     srv.start()
     yield srv.endpoint
     srv.stop()

@@ -20,7 +20,7 @@ from enclave_broker.contracts import (
 from enclave_broker.errors import StateError
 from enclave_broker.model import Comparison, Literal, Predicate
 
-from conftest import C1_TEXT, orders_store
+from conftest import C1_TEXT, csv_table
 
 
 def draft(**kw):
@@ -119,45 +119,44 @@ def test_canonical_encode_deterministic():
 # ---- validation ----
 
 
-def test_validate_fixture_contract_ok():
-    report = validate_contract(parse_contract(C1_TEXT), orders_store().catalog())
+def test_validate_fixture_contract_ok(store):
+    report = validate_contract(parse_contract(C1_TEXT), store.catalog())
     assert report.ok
     assert report.problems == []
 
 
-def test_validate_unknown_source():
+def test_validate_unknown_source(store):
     c = draft(grants=(Grant("warehouse.nothing", None),))
-    report = validate_contract(c, orders_store().catalog())
+    report = validate_contract(c, store.catalog())
     assert not report.ok
     assert codes(report) == ["UnknownSource"]
 
 
-def test_validate_unknown_column():
+def test_validate_unknown_column(store):
     c = draft(grants=(Grant("warehouse.orders", ("price",)),))
-    assert codes(validate_contract(c, orders_store().catalog())) == ["UnknownColumn"]
+    assert codes(validate_contract(c, store.catalog())) == ["UnknownColumn"]
 
 
-def test_validate_predicate_type_mismatch():
+def test_validate_predicate_type_mismatch(store):
     p = Predicate((Comparison("amount", ">=", Literal.text("high")),))
     c = draft(grants=(Grant("warehouse.orders", None, p),))
-    assert codes(validate_contract(c, orders_store().catalog())) == ["TypeMismatch"]
+    assert codes(validate_contract(c, store.catalog())) == ["TypeMismatch"]
 
 
-def test_validate_predicate_unknown_column():
+def test_validate_predicate_unknown_column(store):
     p = Predicate((Comparison("price", ">", Literal.integer(1)),))
     c = draft(grants=(Grant("warehouse.orders", None, p),))
-    assert codes(validate_contract(c, orders_store().catalog())) == ["UnknownColumn"]
+    assert codes(validate_contract(c, store.catalog())) == ["UnknownColumn"]
 
 
-def test_validate_int_literal_fits_real_column():
-    store = orders_store()
-    store.register_table("ns.reals", (("score", "REAL"),), [(1.5,)])
+def test_validate_int_literal_fits_real_column(tmp_path):
+    store = csv_table(tmp_path, "ns.reals", (("score", "REAL"),), [(1.5,)])
     p = Predicate((Comparison("score", ">", Literal.integer(1)),))
     c = draft(grants=(Grant("ns.reals", None, p),))
     assert validate_contract(c, store.catalog()).ok
 
 
-def test_validate_collects_everything():
+def test_validate_collects_everything(store):
     p = Predicate((Comparison("nope", "=", Literal.integer(1)),))
     c = draft(
         ttl=0,
@@ -166,28 +165,28 @@ def test_validate_collects_everything():
             Grant("missing.table", None),
         ),
     )
-    found = codes(validate_contract(c, orders_store().catalog()))
+    found = codes(validate_contract(c, store.catalog()))
     assert "NonPositiveTtl" in found
     assert "DuplicateColumn" in found
     assert "UnknownColumn" in found
     assert "UnknownSource" in found
 
 
-def test_validate_no_grants_and_empty_columns():
-    assert codes(validate_contract(draft(grants=()), orders_store().catalog())) == ["EmptyGrant"]
+def test_validate_no_grants_and_empty_columns(store):
+    assert codes(validate_contract(draft(grants=()), store.catalog())) == ["EmptyGrant"]
     c = draft(grants=(Grant("warehouse.orders", ()),))
-    assert "EmptyGrant" in codes(validate_contract(c, orders_store().catalog()))
+    assert "EmptyGrant" in codes(validate_contract(c, store.catalog()))
 
 
-def test_validate_non_positive_row_limit():
+def test_validate_non_positive_row_limit(store):
     c = draft(grants=(Grant("warehouse.orders", None, None, 0),))
-    assert "EmptyGrant" in codes(validate_contract(c, orders_store().catalog()))
+    assert "EmptyGrant" in codes(validate_contract(c, store.catalog()))
 
 
-def test_validation_ok_means_every_reference_resolves():
+def test_validation_ok_means_every_reference_resolves(store):
     # Walk every column the contract mentions and resolve it by hand.
     c = parse_contract(C1_TEXT)
-    catalog = orders_store().catalog()
+    catalog = store.catalog()
     assert validate_contract(c, catalog).ok
     for g in c.grants:
         assert catalog.has_table(g.source)

@@ -32,7 +32,7 @@ from enclave_broker.errors import (
 )
 from enclave_broker.model import Comparison, Literal, Predicate
 
-from conftest import C1_SEGMENT_ROWS, append_row, no_record, orders_store
+from conftest import C1_SEGMENT_ROWS, append_row, no_record
 from test_contracts import draft
 
 
@@ -40,8 +40,7 @@ def live_contract(**kw):
     return activate(draft(**kw), 0)
 
 
-def serving(store=None, c=None):
-    store = store or orders_store()
+def serving(store, c=None):
     c = c or live_contract()
     e = create_enclave(c, 0, no_record)
     provision(e, c, store, 0, no_record)
@@ -70,8 +69,7 @@ def assert_doors(e):
         assert e.state == "Serving"
 
 
-def test_happy_path_states_and_doors():
-    store = orders_store()
+def test_happy_path_states_and_doors(store):
     c = live_contract()
     log = []
     record = recorder(log)
@@ -107,18 +105,17 @@ def test_create_requires_live_contract():
         create_enclave(live_contract(ttl=10), 10, no_record)
 
 
-def test_provision_materializes_fixture_segment():
+def test_provision_materializes_fixture_segment(store):
     pred = Predicate((Comparison("created_at", ">=", Literal.date("2025-01-01")),))
     c = live_contract(
         grants=(Grant("warehouse.orders", ("order_id", "amount", "created_at"), pred),)
     )
     e = create_enclave(c, 0, no_record)
-    provision(e, c, orders_store(), 0, no_record)
+    provision(e, c, store, 0, no_record)
     assert e.segments[0].rows == C1_SEGMENT_ROWS
 
 
-def test_illegal_transitions_raise_state_error():
-    store = orders_store()
+def test_illegal_transitions_raise_state_error(store):
     c = live_contract()
     e = create_enclave(c, 0, no_record)
     with pytest.raises(StateError):
@@ -141,19 +138,19 @@ def test_illegal_transitions_raise_state_error():
         expire_or_revoke(e, CAUSE_EXPIRY, no_record)
 
 
-def test_provision_checks_contract_identity():
+def test_provision_checks_contract_identity(store):
     c = live_contract()
     other = live_contract(contract_id="someone-else")
     e = create_enclave(c, 0, no_record)
     with pytest.raises(StateError):
-        provision(e, other, orders_store(), 0, no_record)
+        provision(e, other, store, 0, no_record)
 
 
-def test_provision_failure_revokes_and_clears():
+def test_provision_failure_revokes_and_clears(store):
     c = live_contract(grants=(Grant("warehouse.orders", None), Grant("ns.ghost", None)))
     e = create_enclave(c, 0, no_record)
     with pytest.raises(UnknownSource):
-        provision(e, c, orders_store(), 0, no_record)
+        provision(e, c, store, 0, no_record)
     assert e.state == "Revoked"
     assert not e.upstream_open
     assert e.segments == {}
@@ -163,22 +160,22 @@ def test_provision_failure_revokes_and_clears():
         seal(e, no_record)
 
 
-def test_seal_requires_every_grant():
+def test_seal_requires_every_grant(store):
     c = live_contract()
     e = create_enclave(c, 0, no_record)
-    provision(e, c, orders_store(), 0, no_record)
+    provision(e, c, store, 0, no_record)
     del e.segments[0]
     with pytest.raises(StateError):
         seal(e, no_record)
 
 
-def test_shutdown_causes_map_to_states():
+def test_shutdown_causes_map_to_states(store):
     for cause, want in (
         (CAUSE_EXPIRY, "Expired"),
         (CAUSE_REVOCATION, "Revoked"),
         (CAUSE_BREAK_GLASS_AUTO, "Expired"),
     ):
-        e, _, _ = serving()
+        e, _, _ = serving(store)
         log = []
         expire_or_revoke(e, cause, recorder(log))
         assert e.state == want
@@ -186,8 +183,8 @@ def test_shutdown_causes_map_to_states():
         assert_doors(e)
 
 
-def test_shutdown_rejects_bad_cause():
-    e, _, _ = serving()
+def test_shutdown_rejects_bad_cause(store):
+    e, _, _ = serving(store)
     with pytest.raises(StateError):
         expire_or_revoke(e, "Operator", no_record)
 
@@ -200,23 +197,23 @@ def test_early_shutdown_allowed():
     assert e.state == "Revoked"
 
 
-def test_forged_door_is_caught():
+def test_forged_door_is_caught(store):
     c = live_contract()
     e = create_enclave(c, 0, no_record)
-    provision(e, c, orders_store(), 0, no_record)
+    provision(e, c, store, 0, no_record)
     e.gateway_open = True  # sabotage
     with pytest.raises(ManTrapViolation):
         e.check_doors()
-    e2, _, _ = serving()
+    e2, _, _ = serving(store)
     e2.upstream_open = True
     with pytest.raises(ManTrapViolation):
         e2.check_doors()
 
 
-def test_open_gate_defends_against_forged_upstream():
+def test_open_gate_defends_against_forged_upstream(store):
     c = live_contract()
     e = create_enclave(c, 0, no_record)
-    provision(e, c, orders_store(), 0, no_record)
+    provision(e, c, store, 0, no_record)
     seal(e, no_record)
     e.upstream_open = True  # sabotage after seal
     with pytest.raises(ManTrapViolation):
@@ -238,8 +235,7 @@ def segments_digest(e: EnclaveInstance) -> str:
     return hashlib.sha256(canonical_bytes(body)).hexdigest()
 
 
-def test_post_seal_digest_constant_until_shutdown():
-    store = orders_store()
+def test_post_seal_digest_constant_until_shutdown(store):
     e, c, _ = serving(store)
     at_seal = segments_digest(e)
     append_row(store, "warehouse.orders", (7, "initech", 10, "2024-10-04"))
@@ -248,8 +244,7 @@ def test_post_seal_digest_constant_until_shutdown():
     assert e.segments == {}
 
 
-def test_sealed_enclave_holds_no_store_reference():
-    store = orders_store()
+def test_sealed_enclave_holds_no_store_reference(store):
     e, _, _ = serving(store)
     # Structural check: nothing reachable from the enclave is the store
     # or one of its tables; segments hold only immutable row tuples.
@@ -284,9 +279,8 @@ def refuse(e, from_state, to_state, cause):
     raise Refused(f"{from_state} -> {to_state}")
 
 
-def enclave_at(state):
+def enclave_at(state, store):
     """A fresh enclave brought to `state` by the legal steps."""
-    store = orders_store()
     c = live_contract()
     e = create_enclave(c, 0, no_record)
     steps = (
@@ -308,8 +302,8 @@ def enclave_at(state):
         for state in (DEFINED, PROVISIONING, SEALED, SERVING)
     ],
 )
-def test_a_transition_whose_record_raises_is_not_made(state, step):
-    e, c, store = enclave_at(state)
+def test_a_transition_whose_record_raises_is_not_made(state, step, store):
+    e, c, store = enclave_at(state, store)
     make = {
         "provision": lambda: provision(e, c, store, 0, refuse),
         "seal": lambda: seal(e, refuse),
@@ -321,7 +315,7 @@ def test_a_transition_whose_record_raises_is_not_made(state, step):
     assert (e.state, e.upstream_open, e.gateway_open, dict(e.segments)) == before
 
 
-def test_a_failed_provision_whose_revocation_is_refused_stays_as_recorded():
+def test_a_failed_provision_whose_revocation_is_refused_stays_as_recorded(store):
     c = live_contract(grants=(Grant("warehouse.orders", None), Grant("ns.ghost", None)))
     e = create_enclave(c, 0, no_record)
     log = []
@@ -333,7 +327,7 @@ def test_a_failed_provision_whose_revocation_is_refused_stays_as_recorded():
         keep(e, from_state, to_state, cause)
 
     with pytest.raises(Refused):
-        provision(e, c, orders_store(), 0, record)
+        provision(e, c, store, 0, record)
     assert log[-1][1] == e.state == "Provisioning"
     # The next recorded shutdown closes the door and wipes the rows.
     expire_or_revoke(e, CAUSE_EXPIRY, no_record)

@@ -129,11 +129,12 @@ def test_probing_clears_after_firing():
     assert rules(m.record_event(ev(verdict="Deny", t=4))) == ["ProbingDenials"]
 
 
-def test_break_glass_activation_alert():
+def test_break_glass_activation_alert(tmp_path):
     m = AccessMonitor()
-    ledger = AuditLedger()
+    ledger = AuditLedger(str(tmp_path / "audit.log"))
     assert m.observe(ledger.append(49, "x", SESSION_OPENED, {"session_id": "s1"})) == []
     activated = ledger.append(50, "broker", BREAK_GLASS_ACTIVATED, {"request_id": "req-1", "contract_id": "c9"})
+    ledger.close()
     [alert] = m.observe(activated)
     assert alert.timestamp == 50
     assert alert.rule == "BreakGlassActivated"

@@ -9,18 +9,17 @@ import threading
 
 import pytest
 
-from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_json
 from enclave_broker.model import DATE, INT, REAL, TEXT, days_to_date
 from enclave_broker.server import BrokerServer, reply_line
-from enclave_broker.store import EncodedRows, TableStore
+from enclave_broker.store import EncodedRows
 
-from conftest import C1_TEXT, make_core
+from conftest import C1_TEXT, make_core, write_csv
 
 
 @pytest.fixture
 def server(tmp_path):
-    srv = BrokerServer(make_core(), str(tmp_path / "b.sock")).start()
+    srv = BrokerServer(make_core(tmp_path), str(tmp_path / "b.sock")).start()
     yield srv
     srv.stop()
 
@@ -184,7 +183,7 @@ _DATED_REPLIES = (
 def test_date_results_keep_their_wire_bytes(tmp_path):
     table = tmp_path / "dated.csv"
     table.write_text(_DATED_CSV, encoding="utf-8")
-    core = BrokerCore(BrokerConfig(tables={"ns.dated": str(table)}))
+    core = make_core(tmp_path / "data", tables={"ns.dated": str(table)})
     srv = BrokerServer(core, str(tmp_path / "d.sock")).start()
     try:
         with Conn(srv.endpoint) as conn:
@@ -238,14 +237,26 @@ def test_concurrent_connections(server):
     assert failures == []
 
 
+@pytest.mark.parametrize("req_id", [b"NaN", b"[Infinity]", b"-Infinity", b'{"k": [1, NaN]}', b'"\\ud800"'])
+def test_an_id_that_cannot_be_echoed_is_refused_and_the_connection_goes_on(server, req_id):
+    # JSON reads NaN, the infinities and a lone surrogate, but no reply
+    # line can carry them: canonical JSON refuses NaN, UTF-8 the surrogate.
+    with Conn(server.endpoint) as conn:
+        conn.send_raw(b'{"op": "alerts", "id": ' + req_id + b"}\n")
+        response = json.loads(conn.read_line())
+        assert response["id"] is None
+        assert response["error"]["code"] == "BadRequest"
+        assert conn.call("sweep")["ok"]
+
+
 def test_stop_removes_socket_and_start_reclaims_stale(tmp_path):
     path = str(tmp_path / "stale.sock")
-    first = BrokerServer(make_core(), path).start()
+    first = BrokerServer(make_core(tmp_path / "first"), path).start()
     first.stop()
     assert not os.path.exists(path)
     # A stale file left behind by a crash must not block the next start.
     open(path, "w").close()
-    second = BrokerServer(make_core(), path).start()
+    second = BrokerServer(make_core(tmp_path / "second"), path).start()
     try:
         with Conn(path) as conn:
             assert conn.call("sweep")["ok"]
@@ -296,9 +307,8 @@ def _oracle(columns, keep, limit) -> dict:
 
 
 def test_spliced_replies_are_the_canonical_bytes(tmp_path):
-    store = TableStore()
-    store.register_table("ns.hostile", tuple(zip(_COLS, (INT, TEXT, REAL, DATE))), _HOSTILE_ROWS)
-    core = BrokerCore(BrokerConfig(), store=store)
+    table = write_csv(tmp_path, "ns.hostile", tuple(zip(_COLS, (INT, TEXT, REAL, DATE))), _HOSTILE_ROWS)
+    core = make_core(tmp_path / "data", tables={"ns.hostile": table})
     srv = BrokerServer(core, str(tmp_path / "h.sock")).start()
     try:
         with Conn(srv.endpoint) as conn:

@@ -1,9 +1,8 @@
-"""Table store: registration, CSV loading, and segment extraction vs oracle."""
+"""Table store: CSV loading and segment extraction vs oracle."""
 
 from __future__ import annotations
 
 import csv
-import enum
 import re
 import tempfile
 from array import array
@@ -30,31 +29,36 @@ from enclave_broker.store import (
     scan_positions,
 )
 
-from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, append_row, orders_store
+from conftest import C1_SEGMENT_ROWS, ORDERS_CSV, ORDERS_ROWS, ORDERS_SCHEMA, append_row, csv_table, orders_store, write_csv
 from reference_loaders import ReferenceStore
 from reference_loaders import load_table_csv as reference_load_table_csv
 
 
-def test_register_rejects_duplicates_and_bad_shapes():
-    store = orders_store()
+def test_register_rejects_duplicates_and_bad_shapes(tmp_path):
+    store = orders_store(tmp_path)
+
+    def load(name, schema, rows):
+        load_table_csv(store, name, write_csv(tmp_path, name, schema, rows))
+
     with pytest.raises(DuplicateTable):
-        store.register_table("warehouse.orders", ORDERS_SCHEMA, [])
+        load("warehouse.orders", ORDERS_SCHEMA, [])
     with pytest.raises(BadConfig):
-        store.register_table("unqualified", (("a", "INT"),), [])
+        load("unqualified", (("a", "INT"),), [])
     with pytest.raises(TypeMismatch):
-        store.register_table("ns.bad", (("a", "BLOB"),), [])
+        load("ns.bad", (("a", "BLOB"),), [])
     with pytest.raises(BadConfig):
-        store.register_table("ns.dup", (("a", "INT"), ("a", "INT")), [])
+        load("ns.dup", (("a", "INT"), ("a", "INT")), [])
     with pytest.raises(TypeMismatch):
-        store.register_table("ns.short", (("a", "INT"), ("b", "TEXT")), [(1,)])
+        load("ns.short", (("a", "INT"), ("b", "TEXT")), [(1,)])
     with pytest.raises(TypeMismatch):
-        store.register_table("ns.badcell", (("a", "INT"),), [("one",)])
+        load("ns.badcell", (("a", "INT"),), [("one",)])
+    # A refused table is not registered.
+    assert not any(store.catalog().has_table(n) for n in ("unqualified", "ns.bad", "ns.dup", "ns.short", "ns.badcell"))
 
 
-def test_bool_is_not_an_int_cell():
-    store = TableStore()
-    with pytest.raises(TypeMismatch):
-        store.register_table("ns.t", (("a", "INT"),), [(True,)])
+def test_bool_is_not_an_int_cell(tmp_path):
+    with pytest.raises(TypeMismatch, match="column a: invalid literal"):
+        csv_table(tmp_path, "ns.t", (("a", "INT"),), [(True,)])
 
 
 def test_eval_predicate_hand_cases():
@@ -79,8 +83,8 @@ def test_cross_family_comparison_is_false_not_error():
     assert not eval_predicate(ORDERS_ROWS[0], ORDERS_SCHEMA, q)
 
 
-def test_extract_fixture_segment():
-    store = orders_store()
+def test_extract_fixture_segment(tmp_path):
+    store = orders_store(tmp_path)
     g = Grant(
         "warehouse.orders",
         ("order_id", "amount", "created_at"),
@@ -94,34 +98,26 @@ def test_extract_fixture_segment():
     assert seg.extracted_at == 5
 
 
-def test_extract_all_columns_keeps_schema_order():
-    store = orders_store()
+def test_extract_all_columns_keeps_schema_order(tmp_path):
+    store = orders_store(tmp_path)
     seg = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
     assert seg.columns == ("order_id", "customer", "amount", "created_at")
     assert seg.rows == tuple(tuple(r) for r in ORDERS_ROWS)
 
 
-def test_extract_unknown_table():
+def test_extract_unknown_table(tmp_path):
     with pytest.raises(UnknownSource):
-        orders_store().extract_segment("warehouse.nothing", Grant("warehouse.nothing", None), 0)
+        orders_store(tmp_path).extract_segment("warehouse.nothing", Grant("warehouse.nothing", None), 0)
 
 
-def test_snapshot_isolation():
-    store = orders_store()
+def test_snapshot_isolation(tmp_path):
+    store = orders_store(tmp_path)
     seg = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
     before = seg.rows
     append_row(store, "warehouse.orders", (9, "initech", 1, "2025-03-01"))
     assert seg.rows == before
     fresh = store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 1)
     assert len(fresh.rows) == len(before) + 1
-
-
-def test_reads_are_counted():
-    store = orders_store()
-    assert store.reads == 0
-    store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
-    store.extract_segment("warehouse.orders", Grant("warehouse.orders", None), 0)
-    assert store.reads == 2
 
 
 # ---- CSV loading ----
@@ -164,7 +160,7 @@ def test_load_csv_not_utf8_is_bad_config(tmp_path):
         load_table_csv(TableStore(), "ns.bad", path)
     # The daemon loads its tables through the same loader at start.
     with pytest.raises(BadConfig, match="not UTF-8"):
-        BrokerCore(BrokerConfig(tables={"ns.bad": str(path)}))
+        BrokerCore(BrokerConfig(data_dir=str(tmp_path / "data"), tables={"ns.bad": str(path)}))
 
 
 def test_load_csv_bad_cells(tmp_path):
@@ -231,76 +227,6 @@ def test_csv_error_names_its_line(tmp_path):
     path.write_text("a,d\nINT,DATE\n1,2024-01-01\n2,2024-02-30\n", encoding="utf-8")
     with pytest.raises(TypeMismatch, match=re.escape(f"{path} line 4 column d: bad DATE literal '2024-02-30'")):
         load_table_csv(TableStore(), "ns.t", path)
-
-
-class _Level(enum.IntEnum):
-    LOW = 1
-
-
-# Plain values of each column type, and values check_cell refuses or
-# takes only in the per-cell loop (bool, an IntEnum, a REAL too big to
-# be a float, non-finite floats, text or bytes where numbers belong).
-_PLAIN = {
-    "INT": st.integers(-3, 3) | st.just(2**70),
-    "REAL": st.floats(-1e3, 1e3) | st.integers(-3, 3),
-    "DATE": st.integers(0, 30_000).map(days_to_date),
-    "TEXT": st.text(max_size=2),
-}
-# DATE cells that are not in YYYY-MM-DD form: a day count, padded text,
-# a bad day, and forms that date.fromisoformat reads on some versions.
-_ODD = st.sampled_from(
-    (True, None, 10**400, _Level.LOW, b"1", float("nan"), float("inf"), "1", 1.5)
-    + (19000, " 2024-01-01", "2023-02-29", "20240131", "2024-W01-1")
-)
-
-
-@st.composite
-def _value_tables(draw):
-    types = draw(st.lists(st.sampled_from(tuple(_PLAIN)), max_size=3))
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        cells = [draw(_ODD if draw(st.integers(0, 7)) == 0 else _PLAIN[t]) for t in types]
-        width = draw(st.sampled_from((0,) * 8 + (-1, 1)))
-        cells = cells[:width] if width < 0 else cells + [1] * width
-        rows.append(tuple(cells) if draw(st.booleans()) else cells)
-    return types, rows
-
-
-@given(_value_tables())
-def test_register_table_matches_per_cell_reference(table):
-    types, rows = table
-    schema = tuple((f"c{i}", t) for i, t in enumerate(types))
-    expected = _loaded(lambda s, n, _: s.register_table(n, schema, rows), ReferenceStore(), None)
-    assert _loaded(lambda s, n, _: s.register_table(n, schema, rows), TableStore(), None) == expected
-
-
-@pytest.mark.parametrize(
-    "schema,rows",
-    [
-        ((("r", "REAL"),), [(1.5,), (float("nan"),)]),
-        ((("r", "REAL"),), [(1,), (float("-inf"),)]),
-        ((("r", "REAL"),), [(1.5,), (10**400,)]),
-        ((("a", "INT"),), [(1,), (True,)]),
-        ((("a", "INT"),), [(1,), (_Level.LOW,)]),
-        ((("d", "DATE"),), [("2024-01-01",), (5,)]),
-        ((("d", "DATE"),), [("2024-01-01",), ("2024-02-30",)]),
-        ((("s", "TEXT"),), [("x",), (1,)]),
-        ((("a", "INT"), ("r", "REAL")), [(1, 2), [3, 4.5]]),
-        ((("a", "INT"), ("s", "TEXT")), [(1, "x"), (2,), ("bad", "y")]),
-    ],
-)
-def test_register_table_odd_cells_match_per_cell_reference(schema, rows):
-    expected = _loaded(lambda s, n, _: s.register_table(n, schema, rows), ReferenceStore(), None)
-    assert _loaded(lambda s, n, _: s.register_table(n, schema, rows), TableStore(), None) == expected
-
-
-@pytest.mark.parametrize("real", [2, 2.0])
-def test_register_table_keeps_its_own_row_list(real):
-    rows = [(1, real), (3, 4.5)]
-    table = TableStore().register_table("ns.t", (("a", "INT"), ("r", "REAL")), rows)
-    assert table.rows == [(1, 2.0), (3, 4.5)]
-    assert type(table.rows[0][1]) is float
-    assert table.rows is not rows
 
 
 # ---- extraction and the compiled scan equal the brute-force oracle ----
@@ -384,8 +310,8 @@ def _oracle_match(row, pred):
 
 @given(_rows, _col_subsets, _preds)
 def test_extract_segment_matches_oracle(rows, columns, pred):
-    store = TableStore()
-    store.register_table("ns.t", _SCHEMA, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = csv_table(tmp, "ns.t", _SCHEMA, rows)
     g = Grant("ns.t", columns, pred)
     seg = store.extract_segment("ns.t", g, 0)
 
@@ -469,8 +395,8 @@ def _date_literals(days):
 def test_date_column_compares_day_counts(data):
     days = data.draw(st.lists(_days, min_size=1, max_size=12))
     rows = [(days_to_date(d), d) for d in days]
-    store = TableStore()
-    store.register_table("ns.t", _DATE_SCHEMA, rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert csv_table(tmp, "ns.t", _DATE_SCHEMA, rows)._get("ns.t").rows == rows
     comps = data.draw(
         st.lists(
             _comparison(("d",), _date_literals(days))
