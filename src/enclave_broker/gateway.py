@@ -15,12 +15,13 @@ import secrets
 from dataclasses import dataclass
 
 from .audit import QUERY_DENIED, QUERY_EXECUTED, SESSION_CLOSED, SESSION_OPENED
+from .canonical import EncodedRows
 from .contracts import DataContract, Grant, is_live
 from .enclave import SERVING, EnclaveInstance
 from .errors import BadToken, BrokerError, ContractExpired, EnclaveNotServing, ParseError, SessionDead
 from .monitor import KIND_INVALID
 from .query import COPY_INTO, SELECT, SHOW_TABLES, QueryAst, parse_query
-from .store import compile_predicate, project
+from .store import compile_predicate
 from .store import eval_predicate  # noqa: F401  benches/spans.py RowCounter patches this name
 
 DENY_UNKNOWN_TABLE = "UnknownTable"
@@ -41,15 +42,16 @@ class Session:
 @dataclass(frozen=True)
 class QueryResult:
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    rows: tuple[tuple, ...] | EncodedRows
     truncated: bool
 
     def to_json(self) -> dict:
-        """Wire form. "rows" is the result's own tuple of row tuples,
-        which JSON encodes as arrays; cells are already in their wire
-        form (DATE cells are ISO text), so no row is rebuilt. Rows served
-        from a segment's wire form are `EncodedRows`, which also carry
-        their encoding for the reply writer to splice in."""
+        """Wire form. "rows" is passed through as it is, never rebuilt.
+        A projected result, or a full-width one spliced from a segment's
+        wire form, is `EncodedRows`: the rows' canonical JSON, which the
+        reply writer splices in. Other results are tuples of row tuples,
+        which JSON encodes as arrays; their cells are already in wire
+        form (DATE cells are ISO text)."""
         return {"columns": list(self.columns), "rows": self.rows, "truncated": self.truncated}
 
 
@@ -202,12 +204,7 @@ class QueryGateway:
         caps = [n for n in (ast.limit, grant.row_limit) if n is not None]
         cap = min(caps) if caps else None
         terms = compile_predicate(schema, ast.predicate)
-        picks = [seg_cols[c] for c in out_cols]
-        if picks == list(range(len(segment.columns))):
-            rows, truncated = segment.select_all(terms, cap)
-            return QueryResult(tuple(out_cols), rows, truncated), None
-        hits, truncated = segment.matches(terms, cap)
-        rows = project(picks, len(segment.columns))(segment.rows_at(hits))
+        rows, truncated = segment.select([seg_cols[c] for c in out_cols], terms, cap)
         return QueryResult(tuple(out_cols), rows, truncated), None
 
     def _report(

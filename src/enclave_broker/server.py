@@ -16,10 +16,9 @@ import socket
 import threading
 
 from .broker import BrokerConfig, BrokerCore
-from .canonical import canonical_json
+from .canonical import EncodedRows, canonical_json
 from .cli import table_arg
 from .clock import LOGICAL, WALL
-from .store import EncodedRows
 
 _EMPTY_ROWS = b'"rows":[]'
 
@@ -27,11 +26,12 @@ _EMPTY_ROWS = b'"rows":[]'
 def reply_line(response: dict) -> bytes:
     """`canonical_json(response)` in UTF-8 plus a newline.
 
-    Result rows that carry their encoding (`EncodedRows`) are not encoded
-    again: the response is encoded with `"rows":[]` and their bytes are
-    spliced in between the brackets. "result" is the last key of a
-    response and "truncated" the only key after "rows" in a query
-    result, so the last `"rows":[]` in the line is the result's.
+    Result rows held as their encoding (`EncodedRows`: every projected
+    result, and full-width ones spliced from a segment's wire form) are
+    never decoded here: the response is encoded with `"rows":[]` and
+    their bytes are spliced in between the brackets. "result" is the
+    last key of a response and "truncated" the only key after "rows" in
+    a query result, so the last `"rows":[]` in the line is the result's.
     """
     result = response.get("result")
     rows = result.get("rows") if isinstance(result, dict) else None

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from enclave_broker.contracts import is_live
 from enclave_broker.enclave import CAUSE_BREAK_GLASS_AUTO, CAUSE_REVOCATION
 from enclave_broker.errors import BadConfig, StorageFailure
 
-from conftest import C1_TEXT, C1_SEGMENT_ROWS, fold_transitions, live_grants, make_core
+from conftest import C1_TEXT, C1_SEGMENT_ROWS, ORDERS_ROWS, fold_transitions, live_grants, make_core
 
 BG_TEMPLATE = """
 contract "bg-incident-42" {
@@ -513,6 +515,57 @@ def test_revocation_survives_restart(tmp_path):
     assert reborn.contracts["c1"].status == "Revoked"
     assert err_code(call(reborn, "activate_contract", {"contract_id": "c1"})) == "StateError"
     reborn.close()
+
+
+WIDE_TEXT = """
+contract "wide" {
+  principal "svc-wide"
+  purpose "every column of the orders"
+  expires_in 3600s
+  grant {
+    source warehouse.orders
+    columns *
+  }
+}
+"""
+
+
+def test_a_held_result_keeps_no_segment_data_and_outlives_the_wipe(tmp_path):
+    core = make_core(tmp_path)
+    ok(core, "submit_contract", {"text": WIDE_TEXT})
+    token = ok(core, "activate_contract", {"contract_id": "wide"})["token"]
+    enclave_id = ok(core, "broker_enclave", {"contract_id": "wide"})["enclave_id"]
+    session_id = ok(core, "open_session", {"enclave_id": enclave_id, "token": token})["session_id"]
+    segment = core.enclaves[enclave_id].segments[0]
+
+    def rows_of(text):
+        return ok(core, "query", {"session_id": session_id, "text": text})["rows"]
+
+    # One full-width answer sends all 3 rows, which builds the wire form.
+    rows_of("SELECT * FROM orders")
+    assert segment.wire.buf is not None
+    # (statement, its rows computed from the source table)
+    statements = [
+        ("SELECT amount, order_id, order_id FROM orders", [(r[2], r[0], r[0]) for r in ORDERS_ROWS]),
+        ("SELECT * FROM orders WHERE order_id >= 2", [r for r in ORDERS_ROWS if r[0] >= 2]),
+        ("SELECT * FROM orders WHERE order_id != 2", [r for r in ORDERS_ROWS if r[0] != 2]),
+    ]
+    held = [rows_of(text) for text, _ in statements]
+    for rows in held:
+        # The encoding and the count: no segment, row tuple, cell, or
+        # view into the segment's wire form.
+        refs = [o for o in gc.get_referents(rows) if o is not type(rows)]
+        assert sorted(type(o).__name__ for o in refs) == ["bytes", "int"]
+        assert not any(o is segment.wire.buf for o in refs)
+
+    ok(core, "revoke_contract", {"contract_id": "wide"})
+    assert core.enclaves[enclave_id].segments == {}
+    wiped = weakref.ref(segment)
+    del segment
+    gc.collect()
+    assert wiped() is None
+    for rows, (text, want) in zip(held, statements):
+        assert list(rows) == want, text
 
 
 def test_a_contract_or_clock_file_that_cannot_be_written_answers_storage_failure(tmp_path):

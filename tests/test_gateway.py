@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from enclave_broker.broker import BrokerCore
-from enclave_broker.canonical import canonical_bytes
+from enclave_broker.canonical import EncodedRows
 from enclave_broker.contracts import Grant, activate
 from enclave_broker.enclave import (
     CAUSE_EXPIRY,
@@ -30,9 +30,9 @@ from enclave_broker.errors import (
 from enclave_broker.gateway import DenialError, QueryGateway, authorize
 from enclave_broker.model import Comparison, Literal, Predicate, days_to_date
 from enclave_broker.query import parse_query
-from enclave_broker.store import EncodedRows
+from enclave_broker.server import reply_line
 
-from conftest import ORDERS_SCHEMA, append_row, count_extracts, make_core, no_record, write_csv
+from conftest import ORDERS_ROWS, ORDERS_SCHEMA, append_row, count_extracts, make_core, no_record, write_csv
 from test_contracts import draft
 
 TOKEN = "tok-alpha"
@@ -198,12 +198,35 @@ def test_select_filters_and_projects_segment(tmp_path):
     assert result.rows == ((2,),)
 
 
+def _reply(result) -> bytes:
+    """The reply line the daemon writes for `result`."""
+    return reply_line({"id": 1, "ok": True, "result": result.to_json()})
+
+
+def _oracle_json(obj) -> bytes:
+    """`obj` as canonical JSON, encoded by `json.dumps`, not by the
+    broker's encoders."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def _oracle_reply(columns, rows, truncated) -> bytes:
+    """The reply line for `rows`, computed from the source table in the test."""
+    result = {"columns": list(columns), "rows": [list(row) for row in rows], "truncated": truncated}
+    return _oracle_json({"id": 1, "ok": True, "result": result}) + b"\n"
+
+
+def _c1_rows(columns) -> list[tuple]:
+    """The `columns` of the source rows that `open_rig`'s grant keeps."""
+    names = [col for col, _ in ORDERS_SCHEMA]
+    return [tuple(r[names.index(col)] for col in columns) for r in ORDERS_ROWS if r[3] >= "2025-01-01"]
+
+
 def test_dates_render_as_iso_in_json(tmp_path):
     gw, e, c, s = open_rig(tmp_path)
-    out = gw.execute(s, e, c, "SELECT created_at FROM orders LIMIT 1", 0).to_json()
-    assert out["rows"] == (("2025-01-15",),)
-    assert json.dumps(out["rows"]) == '[["2025-01-15"]]'
-    assert out["truncated"] is True
+    result = gw.execute(s, e, c, "SELECT created_at FROM orders LIMIT 1", 0)
+    line = _reply(result)
+    assert b'"rows":[["2025-01-15"]]' in line
+    assert line == _oracle_reply(("created_at",), _c1_rows(("created_at",))[:1], True)
 
 
 def test_json_passes_result_rows_through(tmp_path):
@@ -216,9 +239,12 @@ def test_json_passes_result_rows_through(tmp_path):
 
 def test_json_rows_are_row_tuples_with_or_without_dates(tmp_path):
     gw, e, c, s = open_rig(tmp_path)
-    for text in ("SELECT order_id FROM orders", "SELECT order_id, created_at FROM orders"):
-        rows = gw.execute(s, e, c, text, 0).to_json()["rows"]
-        assert type(rows) is tuple
+    for columns in (("order_id",), ("order_id", "created_at"), ("created_at", "order_id", "created_at")):
+        result = gw.execute(s, e, c, f"SELECT {', '.join(columns)} FROM orders", 0)
+        assert _reply(result) == _oracle_reply(columns, _c1_rows(columns), False)
+        # A reader in the process gets the rows back as row tuples.
+        rows = result.to_json()["rows"]
+        assert list(rows) == _c1_rows(columns)
         assert all(type(row) is tuple for row in rows)
 
 
@@ -233,10 +259,13 @@ def test_limit_truncates_and_flags(tmp_path):
     assert not result.truncated
 
 
+_THOUSAND_ROWS = [(i, "acme", i % 97, days_to_date(20000 + i % 400)) for i in range(1000)]
+_THOUSAND_COLUMNS = [col for col, _ in ORDERS_SCHEMA]
+
+
 def _thousand_row_rig(tmp_path, grant=Grant("warehouse.orders", None)):
-    rows = [(i, "acme", i % 97, days_to_date(20000 + i % 400)) for i in range(1000)]
     c = activate(draft(grants=(grant,)), 0)
-    gw, e, _, _ = rig(tmp_path, c=c, rows=rows)
+    gw, e, _, _ = rig(tmp_path, c=c, rows=_THOUSAND_ROWS)
     return gw, e, c, gw.open_session(e, c, TOKEN, TOKEN, 0)
 
 
@@ -264,32 +293,37 @@ def test_wire_form_is_built_once_full_width_results_sent_the_segment(tmp_path):
     unbuilt = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
     assert segment.wire.sent == 1000
     assert segment.wire.buf is not None
-    assert b"[" + segment.wire.buf + b"]" == canonical_bytes(segment.rows)
+    assert b"[" + segment.wire.buf + b"]" == _oracle_json(_THOUSAND_ROWS)
     # Served from the wire form now: the same rows, carrying their bytes.
     built = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
     assert built == unbuilt
     assert isinstance(built.rows, EncodedRows)
-    assert b"[" + bytes(built.rows.wire) + b"]" == canonical_bytes(built.rows)
+    want = _oracle_reply(_THOUSAND_COLUMNS, [r for r in _THOUSAND_ROWS if r[2] >= 50][:1], True)
+    assert _reply(unbuilt) == _reply(built) == want
 
 
 def test_wire_form_answers_match_the_scan_path(tmp_path):
     gw, e, c, s = _thousand_row_rig(tmp_path)
-    texts = [
-        "SELECT * FROM orders",
-        "SELECT * FROM orders WHERE amount > 500",
-        "SELECT * FROM orders WHERE amount = 5",
-        "SELECT * FROM orders WHERE amount > 90 LIMIT 30",
-        "SELECT * FROM orders WHERE order_id >= 100 AND order_id < 200",
-        "SELECT * FROM orders WHERE order_id >= 990 LIMIT 10",
-        'SELECT * FROM orders WHERE customer = "globex"',
-        "SELECT * FROM orders WHERE created_at >= 2025-01-01",
+    # (statement, the rows it keeps, its LIMIT), answered over the source rows.
+    statements = [
+        ("SELECT * FROM orders", lambda r: True, None),
+        ("SELECT * FROM orders WHERE amount > 500", lambda r: r[2] > 500, None),
+        ("SELECT * FROM orders WHERE amount = 5", lambda r: r[2] == 5, None),
+        ("SELECT * FROM orders WHERE amount > 90 LIMIT 30", lambda r: r[2] > 90, 30),
+        ("SELECT * FROM orders WHERE order_id >= 100 AND order_id < 200", lambda r: 100 <= r[0] < 200, None),
+        ("SELECT * FROM orders WHERE order_id >= 990 LIMIT 10", lambda r: r[0] >= 990, 10),
+        ('SELECT * FROM orders WHERE customer = "globex"', lambda r: r[1] == "globex", None),
+        ("SELECT * FROM orders WHERE created_at >= 2025-01-01", lambda r: r[3] >= "2025-01-01", None),
     ]
-    before = [gw.execute(s, e, c, text, 0) for text in texts]
+    before = [gw.execute(s, e, c, text, 0) for text, _, _ in statements]
     assert e.segments[0].wire.buf is not None
-    after = [gw.execute(s, e, c, text, 0) for text in texts]
+    after = [gw.execute(s, e, c, text, 0) for text, _, _ in statements]
     assert after == before
-    for result in after:
-        assert b"[" + bytes(result.rows.wire) + b"]" == canonical_bytes(result.rows)
+    for (text, keep, limit), result in zip(statements, after):
+        assert isinstance(result.rows, EncodedRows)
+        matched = [r for r in _THOUSAND_ROWS if keep(r)]
+        cap = len(matched) if limit is None else limit
+        assert _reply(result) == _oracle_reply(_THOUSAND_COLUMNS, matched[:cap], len(matched) > cap), text
 
 
 def _built(e, column: str) -> bool:

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import operator
 import os
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enclave_broker.canonical import canonical_json
+from enclave_broker.canonical import EncodedRows, canonical_json
+from enclave_broker.lexer import escape_string
 from enclave_broker.model import DATE, INT, REAL, TEXT, days_to_date
 from enclave_broker.server import BrokerServer, reply_line
-from enclave_broker.store import EncodedRows
 
 from conftest import C1_TEXT, make_core, write_csv
 
@@ -336,6 +339,113 @@ def test_reply_line_splices_encoded_rows_as_canonical_json():
     rows = ((1, "],[\"rows\":[]"), (2, "é"))
     wire = b",".join(canonical_json(row).encode("utf-8") for row in rows)
     for req_id in (7, "x", {"rows": []}, ['"rows":[]']):
-        for encoded in (EncodedRows(rows, wire), EncodedRows((), b"")):
+        for encoded, plain in ((EncodedRows(wire, len(rows)), rows), (EncodedRows(b"", 0), ())):
             response = {"id": req_id, "ok": True, "result": {"columns": ["a", "b"], "rows": encoded, "truncated": True}}
-            assert reply_line(response) == canonical_json(response).encode("utf-8") + b"\n"
+            want = canonical_json({**response, "result": {**response["result"], "rows": plain}})
+            assert reply_line(response) == want.encode("utf-8") + b"\n"
+            # In process, the same line decoded from the encoding.
+            assert canonical_json(response) == want
+
+
+# ---- every reply against an oracle computed from the source table ----
+
+_BIG = 10**4299  # 4300 digits, the most `int` reads from text
+_EDGE_COLS = (("id", INT), ("big", INT), ("score", REAL), ("label", TEXT), ("d", DATE))
+_EDGE_INTS = (0, -1, 2**63, -(2**63) - 1, _BIG, -_BIG)
+_EDGE_REALS = (-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, -1.5, 0.1, 1e-07, -2.5e-300)
+_EDGE_TEXTS = (
+    "plain", '"q"', "back\\slash", "ctl\x01\x1f\t\n\r\x7f", "\u2028line\u2029", "\U0001f600 non-BMP",
+    "],[", '"rows":[]', "", " ", "日本", "{}",
+)
+_EDGE_ROWS = [
+    (
+        i,
+        _EDGE_INTS[i % len(_EDGE_INTS)],
+        _EDGE_REALS[i % len(_EDGE_REALS)],
+        _EDGE_TEXTS[i % len(_EDGE_TEXTS)],
+        days_to_date(19000 + (i * 7) % 11),
+    )
+    for i in range(48)
+]
+_EDGE_ROW_LIMITS = (None, 1, 9, 30)
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+# A column's literals: (query text, the value the oracle compares cells with).
+_EDGE_LITERALS = {
+    "id": st.integers(-2, 50).map(lambda n: (str(n), n)),
+    "big": st.sampled_from((0, -1, 7, -(10**30), 10**30)).map(lambda n: (str(n), n)),
+    "score": st.sampled_from(("0.0", "-1.5", "0.1", "100.25", "0", "1")).map(lambda t: (t, float(t))),
+    "label": st.sampled_from(_EDGE_TEXTS).map(lambda t: (escape_string(t), t)),
+    "d": st.integers(18999, 19011).map(lambda n: (days_to_date(n), days_to_date(n))),
+}
+_ORACLE_JSON = dict(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def _edge_contract(i: int, row_limit) -> str:
+    cap = "" if row_limit is None else f"row_limit {row_limit}"
+    return f"""
+contract "edge{i}" {{
+  principal "p{i}"
+  purpose "every cell type on the wire"
+  expires_in 1h
+  grant {{
+    source ns.edge
+    columns *
+    {cap}
+  }}
+}}
+"""
+
+
+def test_replies_match_an_oracle_for_any_projection_predicate_and_cap(tmp_path):
+    table = write_csv(tmp_path, "ns.edge", _EDGE_COLS, _EDGE_ROWS)
+    core = make_core(tmp_path / "data", tables={"ns.edge": table})
+
+    def ok(op, args, token=None):
+        response = core.handle({"op": op, "id": 1, "args": args, **({"token": token} if token else {})})
+        assert response["ok"], response
+        return response["result"]
+
+    sessions = []
+    for i, row_limit in enumerate(_EDGE_ROW_LIMITS):
+        ok("submit_contract", {"text": _edge_contract(i, row_limit)})
+        token = ok("activate_contract", {"contract_id": f"edge{i}"})["token"]
+        enclave_id = ok("broker_enclave", {"contract_id": f"edge{i}"})["enclave_id"]
+        sessions.append(ok("open_session", {"enclave_id": enclave_id}, token)["session_id"])
+    names = [col for col, _ in _EDGE_COLS]
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def check(data):
+        which = data.draw(st.integers(0, len(_EDGE_ROW_LIMITS) - 1))
+        star = data.draw(st.booleans())
+        picks = list(range(len(names))) if star else data.draw(st.lists(st.integers(0, len(names) - 1), min_size=1, max_size=7))
+        terms = []
+        for _ in range(data.draw(st.integers(0, 2))):
+            column = data.draw(st.sampled_from(names))
+            op = data.draw(st.sampled_from(sorted(_OPS)))
+            text, value = data.draw(_EDGE_LITERALS[column])
+            terms.append((names.index(column), _OPS[op], value, f"{column} {op} {text}"))
+        limit = data.draw(st.none() | st.integers(1, 60))
+        statement = f"SELECT {'*' if star else ', '.join(names[i] for i in picks)} FROM edge"
+        if terms:
+            statement += " WHERE " + " AND ".join(t[3] for t in terms)
+        if limit is not None:
+            statement += f" LIMIT {limit}"
+
+        matched = [r for r in _EDGE_ROWS if all(op(r[i], value) for i, op, value, _ in terms)]
+        cap = min([n for n in (limit, _EDGE_ROW_LIMITS[which]) if n is not None], default=len(matched))
+        want = {
+            "id": 1,
+            "ok": True,
+            "result": {
+                "columns": [names[i] for i in picks],
+                "rows": [[r[i] for i in picks] for r in matched[:cap]],
+                "truncated": len(matched) > cap,
+            },
+        }
+        want_line = json.dumps(want, **_ORACLE_JSON).encode("utf-8")
+        response = core.handle({"op": "query", "id": 1, "args": {"session_id": sessions[which], "text": statement}})
+        assert reply_line(response) == want_line + b"\n", statement
+        assert canonical_json(response).encode("utf-8") == want_line, statement
+
+    check()
