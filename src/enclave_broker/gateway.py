@@ -42,16 +42,14 @@ class Session:
 @dataclass(frozen=True)
 class QueryResult:
     columns: tuple[str, ...]
-    rows: tuple[tuple, ...] | EncodedRows
+    rows: EncodedRows | tuple[tuple, ...]
     truncated: bool
 
     def to_json(self) -> dict:
         """Wire form. "rows" is passed through as it is, never rebuilt.
-        A projected result, or a full-width one spliced from a segment's
-        wire form, is `EncodedRows`: the rows' canonical JSON, which the
-        reply writer splices in. Other results are tuples of row tuples,
-        which JSON encodes as arrays; their cells are already in wire
-        form (DATE cells are ISO text)."""
+        A SELECT result is `EncodedRows`: the rows' canonical JSON, which
+        the reply writer splices in. SHOW TABLES answers a tuple of
+        1-tuples of table names, which JSON encodes as arrays."""
         return {"columns": list(self.columns), "rows": self.rows, "truncated": self.truncated}
 
 

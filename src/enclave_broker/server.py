@@ -1,8 +1,9 @@
 """NDJSON wire endpoint over a local unix stream socket.
 
 One JSON Request per line in, one JSON Response per line out. A line
-that is not UTF-8 or not valid JSON gets a BadRequest response and the
-stream keeps going; the protocol itself never kills a connection.
+that is not UTF-8, not valid JSON, or longer than `_MAX_LINE` bytes gets
+a BadRequest response and the stream keeps going; the protocol itself
+never kills a connection.
 Every reply line is `canonical_json(response)` in UTF-8 plus a newline.
 """
 
@@ -21,15 +22,16 @@ from .cli import table_arg
 from .clock import LOGICAL, WALL
 
 _EMPTY_ROWS = b'"rows":[]'
+_MAX_LINE = 1 << 20  # the most bytes a request line may hold before its newline
 
 
 def reply_line(response: dict) -> bytes:
     """`canonical_json(response)` in UTF-8 plus a newline.
 
-    Result rows held as their encoding (`EncodedRows`: every projected
-    result, and full-width ones spliced from a segment's wire form) are
-    never decoded here: the response is encoded with `"rows":[]` and
-    their bytes are spliced in between the brackets. "result" is the
+    Result rows held as their encoding (`EncodedRows`: every SELECT
+    result) are never decoded here: the response is encoded with
+    `"rows":[]` and their bytes are spliced in between the brackets.
+    Other results (SHOW TABLES) are encoded whole. "result" is the
     last key of a response and "truncated" the only key after "rows" in
     a query result, so the last `"rows":[]` in the line is the result's.
     """
@@ -73,18 +75,23 @@ class BrokerServer:
 
     def _serve_connection(self, conn: socket.socket):
         with conn, conn.makefile("rb") as reader:
-            for line in reader:
-                if not line.strip():
-                    continue
-                # Not UTF-8, not JSON, an int too long to read, or nested
-                # too deep: a BadRequest, and the connection stays open.
+            while line := reader.readline(_MAX_LINE + 1):
+                # Longer than `_MAX_LINE` (read past, never held whole), not
+                # UTF-8, not JSON, an int too long to read, or nested too
+                # deep: a BadRequest, and the connection stays open.
                 try:
+                    if len(line) > _MAX_LINE and not line.endswith(b"\n"):
+                        while line and not line.endswith(b"\n"):
+                            line = reader.readline(_MAX_LINE + 1)
+                        raise ValueError(f"longer than {_MAX_LINE} bytes")
+                    if not line.strip():
+                        continue
                     request = json.loads(line.decode("utf-8"))
                 except (ValueError, RecursionError) as exc:
                     response = {
                         "id": None,
                         "ok": False,
-                        "error": {"code": "BadRequest", "message": f"bad JSON: {exc}"},
+                        "error": {"code": "BadRequest", "message": f"bad request line: {exc}"},
                     }
                 else:
                     response = self.core.handle(request)

@@ -10,12 +10,12 @@ the source table once. A segment answers each statement with the
 ascending positions of its matching rows (`Segment.matches`), from a
 scan or from a sorted order of one column that it builds once its scans
 have paid for it (`ColumnOrders`). A result is built from those
-positions (`Segment.select`). A projected result is never built as rows:
-each picked cell goes from the segment's row tuples straight into its
-canonical JSON (`_encode_columns`). A full-width result is the segment's
-own row tuples, until the segment has sent its rows often enough in
-full-width results to keep their canonical JSON (`WireForm`); from then
-on it is spliced from that JSON by the positions.
+positions (`Segment.select`), and it is never built as rows: each
+picked cell goes from the segment's row tuples straight into its
+canonical JSON (`_encode_columns`). Once a segment has sent its rows
+often enough in full-width results, it keeps every row's canonical JSON,
+encoded by the same cell encoders (`WireForm`), and later full-width
+results are spliced from that JSON by the positions.
 
 Tables come in one form, a CSV file (`load_table_csv`), and each cell
 is checked once: its column's converter turns its text into the stored
@@ -27,16 +27,17 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .canonical import EncodedRows, encode_each
+from .canonical import EncodedRows
 from .contracts import Grant
 from .errors import BadConfig, DuplicateTable, StateError, TypeMismatch, UnknownSource
 from .model import (
@@ -64,8 +65,9 @@ class WireForm:
     """A segment's rows as canonical JSON, built at most once.
 
     `buf` holds every row's encoding, joined by commas, and row i is
-    `buf[starts[i]:ends[i]]`. It costs about the encoded size plus 16 B
-    per row, and building it costs about as much as encoding every row
+    `buf[starts[i]:ends[i]]`, encoded by the cell encoders of every
+    other result (`_row_cells`). It costs about the encoded size plus 16
+    B per row, and building it costs about as much as encoding every row
     once in a reply (1.2-1.4 times, measured). So it is built only once
     the segment's full-width results have sent as many rows as the
     segment holds (`sent`): the ski-rental rule, which buys once the
@@ -79,12 +81,24 @@ class WireForm:
         self.sent = 0
         self.buf: bytes | None = None
 
-    def count_sent(self, rows: tuple[tuple, ...], sent: int) -> None:
+    def count_sent(self, rows: tuple[tuple, ...], column_types: Sequence[str], sent: int) -> None:
         """Add `sent` rows of full-width results sent from `rows`; build
         the wire form once the total reaches the number of rows."""
         self.sent += sent
-        if self.sent >= len(rows):
-            self.buf, self.starts, self.ends = encode_each(rows)
+        if self.sent < len(rows):
+            return
+        out, lengths = io.BytesIO(), array("q")
+        for first in range(0, len(rows), _WIRE_STEP):
+            cells = _row_cells(rows[first : first + _WIRE_STEP], range(len(column_types)), column_types)
+            parts = [f"[{row}]".encode("utf-8") for row in cells]
+            if first:
+                out.write(b",")
+            lengths.extend(map(len, parts))
+            out.write(b",".join(parts))
+        # Row i ends after the lengths of rows 0..i and the i commas between them.
+        self.ends = array("q", map(operator.add, accumulate(lengths), count()))
+        self.starts = array("q", map(operator.sub, self.ends, lengths))
+        self.buf = out.getvalue()
 
     def splice(self, hits: Sequence[int]) -> EncodedRows:
         """The encodings of the rows at positions `hits` (ascending): one
@@ -275,23 +289,20 @@ class Segment:
             return hits[:cap], True
         return hits, False
 
-    def select(self, picks: list[int], terms: Terms, cap: int | None) -> tuple[tuple[tuple, ...] | EncodedRows, bool]:
+    def select(self, picks: list[int], terms: Terms, cap: int | None) -> tuple[EncodedRows, bool]:
         """The `picks` columns of the rows that meet `terms`, in order,
         cut to `cap` rows; and whether the cut dropped any.
 
-        Any column list but every column in order is encoded cell by
-        cell (`_encode_columns`). A full-width result is the segment's
-        own rows, which count toward building the wire form, until that
-        form exists; from then on their encodings are spliced from it.
+        The rows are encoded cell by cell (`_encode_columns`). Full-width
+        ones (every column in order) count toward building the wire form
+        until it exists, and from then on are spliced from it.
         """
         hits, truncated = self.matches(terms, cap)
-        if picks != list(range(len(self.columns))):
-            return _encode_columns(_rows_at(self.rows, hits), picks, self.column_types), truncated
-        if self.wire.buf is None:
-            rows = _rows_at(self.rows, hits)
-            self.wire.count_sent(self.rows, len(rows))
-            return rows, truncated
-        return self.wire.splice(hits), truncated
+        if picks == list(range(len(self.columns))):
+            if self.wire.buf is not None:
+                return self.wire.splice(hits), truncated
+            self.wire.count_sent(self.rows, self.column_types, len(hits))
+        return _encode_columns(_rows_at(self.rows, hits), picks, self.column_types), truncated
 
 
 # The canonical JSON of one cell, per column type. Cells are checked at
@@ -299,11 +310,13 @@ class Segment:
 # would encode differently from `canonical_json`: no bool, no NaN or
 # infinity, no INT too long for `int.__repr__`, no lone surrogate.
 _CELL_JSON = {INT: int.__repr__, REAL: float.__repr__, TEXT: encode_basestring, DATE: encode_basestring}
+# Rows a `WireForm` build holds encoded apart from its buffer at once.
+_WIRE_STEP = 1024
 
 
-def _encode_columns(rows: Sequence[tuple], picks: list[int], column_types: Sequence[str]) -> EncodedRows:
-    """The `picks` columns of `rows`, in that order and repeats kept, as
-    `EncodedRows`, with no result row built.
+def _row_cells(rows: Sequence[tuple], picks: Sequence[int], column_types: Sequence[str]) -> Iterator[str]:
+    """Each of `rows` as the canonical JSON of its `picks` cells, in that
+    order and repeats kept, joined by commas, without the brackets.
 
     Each picked column is one C-level `map` of its type's encoder down
     the rows, and `zip` joins the columns' cells row by row into one
@@ -312,11 +325,17 @@ def _encode_columns(rows: Sequence[tuple], picks: list[int], column_types: Seque
     ms to build the projected row tuples and encode them; building them
     also allocates one tracked tuple per row for the collector.
     """
+    columns = [map(_CELL_JSON[column_types[i]], map(operator.itemgetter(i), rows)) for i in picks]
+    if not columns:
+        return repeat("", len(rows))
+    return columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
+
+
+def _encode_columns(rows: Sequence[tuple], picks: list[int], column_types: Sequence[str]) -> EncodedRows:
+    """The `picks` columns of `rows` as `EncodedRows`; no row is built."""
     if not rows:
         return EncodedRows(b"", 0)
-    columns = [map(_CELL_JSON[column_types[i]], map(operator.itemgetter(i), rows)) for i in picks]
-    cells = columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
-    return EncodedRows(("[" + "],[".join(cells) + "]").encode("utf-8"), len(rows))
+    return EncodedRows(("[" + "],[".join(_row_cells(rows, picks, column_types)) + "]").encode("utf-8"), len(rows))
 
 
 # One compiled conjunct: (column index, operator function, literal).

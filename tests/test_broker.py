@@ -541,16 +541,19 @@ def test_a_held_result_keeps_no_segment_data_and_outlives_the_wipe(tmp_path):
     def rows_of(text):
         return ok(core, "query", {"session_id": session_id, "text": text})["rows"]
 
+    # (statement, its rows computed from the source table)
+    statements = [
+        ("SELECT * FROM orders WHERE order_id >= 2", [r for r in ORDERS_ROWS if r[0] >= 2]),
+        ("SELECT amount, order_id, order_id FROM orders", [(r[2], r[0], r[0]) for r in ORDERS_ROWS]),
+        ("SELECT * FROM orders WHERE order_id != 2", [r for r in ORDERS_ROWS if r[0] != 2]),
+    ]
+    # A full-width answer taken before the wire form exists: 2 of 3 rows.
+    held = [rows_of(statements[0][0])]
+    assert segment.wire.buf is None
     # One full-width answer sends all 3 rows, which builds the wire form.
     rows_of("SELECT * FROM orders")
     assert segment.wire.buf is not None
-    # (statement, its rows computed from the source table)
-    statements = [
-        ("SELECT amount, order_id, order_id FROM orders", [(r[2], r[0], r[0]) for r in ORDERS_ROWS]),
-        ("SELECT * FROM orders WHERE order_id >= 2", [r for r in ORDERS_ROWS if r[0] >= 2]),
-        ("SELECT * FROM orders WHERE order_id != 2", [r for r in ORDERS_ROWS if r[0] != 2]),
-    ]
-    held = [rows_of(text) for text, _ in statements]
+    held += [rows_of(text) for text, _ in statements[1:]]
     for rows in held:
         # The encoding and the count: no segment, row tuple, cell, or
         # view into the segment's wire form.

@@ -294,10 +294,11 @@ def test_wire_form_is_built_once_full_width_results_sent_the_segment(tmp_path):
     assert segment.wire.sent == 1000
     assert segment.wire.buf is not None
     assert b"[" + segment.wire.buf + b"]" == _oracle_json(_THOUSAND_ROWS)
-    # Served from the wire form now: the same rows, carrying their bytes.
+    # Served from the wire form now: the same bytes as the cell encoders'.
     built = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
     assert built == unbuilt
-    assert isinstance(built.rows, EncodedRows)
+    assert isinstance(unbuilt.rows, EncodedRows) and isinstance(built.rows, EncodedRows)
+    assert built.rows.wire == unbuilt.rows.wire
     want = _oracle_reply(_THOUSAND_COLUMNS, [r for r in _THOUSAND_ROWS if r[2] >= 50][:1], True)
     assert _reply(unbuilt) == _reply(built) == want
 
@@ -319,6 +320,7 @@ def test_wire_form_answers_match_the_scan_path(tmp_path):
     assert e.segments[0].wire.buf is not None
     after = [gw.execute(s, e, c, text, 0) for text, _, _ in statements]
     assert after == before
+    assert [r.rows.wire for r in after] == [r.rows.wire for r in before]
     for (text, keep, limit), result in zip(statements, after):
         assert isinstance(result.rows, EncodedRows)
         matched = [r for r in _THOUSAND_ROWS if keep(r)]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from enclave_broker.canonical import EncodedRows, canonical_json
 from enclave_broker.lexer import escape_string
 from enclave_broker.model import DATE, INT, REAL, TEXT, days_to_date
+from enclave_broker import server as server_module
 from enclave_broker.server import BrokerServer, reply_line
 
 from conftest import C1_TEXT, make_core, write_csv
@@ -96,6 +97,28 @@ def test_undecodable_lines_keep_stream_alive(server):
             assert bad["id"] is None
             assert bad["error"]["code"] == "BadRequest"
         assert conn.call("sweep")["ok"] is True
+
+
+def test_over_long_lines_get_bad_request_and_the_connection_goes_on(server, monkeypatch):
+    monkeypatch.setattr(server_module, "_MAX_LINE", 64)
+    tick = b'{"op": "tick", "id": 1, "args": {"seconds": 5}}'
+    with Conn(server.endpoint) as conn:
+        # One byte over; valid JSON cut into pieces; blank at first, then
+        # a request further on: each is the one line it is, refused whole.
+        for line in (b"x" * 65, tick + b" " * 300, b" " * 200 + tick):
+            conn.send_raw(line + b"\n")
+            bad = json.loads(conn.read_line())
+            assert bad["id"] is None
+            assert bad["error"]["code"] == "BadRequest"
+        # Exactly the cap before the newline is a line like any other.
+        conn.send_raw(tick + b" " * (64 - len(tick)) + b"\n")
+        assert json.loads(conn.read_line())["result"] == {"now": 5}
+        assert conn.call("sweep")["ok"] is True
+        # An over-long last line with no newline is answered too.
+        conn.send_raw(b"y" * 100)
+        conn.sock.shutdown(socket.SHUT_WR)
+        assert json.loads(conn.read_line())["error"]["code"] == "BadRequest"
+        assert conn.read_line() == ""
 
 
 def test_blank_lines_are_skipped(server):

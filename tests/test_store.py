@@ -13,10 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from enclave_broker.broker import BrokerConfig, BrokerCore
-from enclave_broker.canonical import canonical_bytes, encode_each
+from enclave_broker.canonical import canonical_bytes
 from enclave_broker.contracts import Grant
 from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
-from enclave_broker.model import Comparison, Literal, Predicate, date_to_days, days_to_date
+from enclave_broker.model import COLUMN_TYPES, DATE, INT, REAL, TEXT, Comparison, Literal, Predicate, date_to_days, days_to_date
 from enclave_broker.store import (
     ColumnOrders,
     Segment,
@@ -425,28 +425,57 @@ def test_date_column_compares_day_counts(data):
 
 # ---- the wire form ----
 
-_WIRE_CELLS = st.one_of(
-    st.integers(min_value=-(2**63), max_value=2**63),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
-    st.sampled_from(("],[", '"', "\\", "\x00\x1f\n", "héllo", " ", "日本")),
-)
+# Each column type's cells, with the ones whose JSON is easiest to get
+# wrong: -0.0, the smallest subnormal, a REAL that `repr` writes with an
+# exponent, a 4300-digit INT (the most `int` reads from text), quotes,
+# control characters and non-BMP text.
+_WIRE_CELLS = {
+    INT: st.integers(min_value=-(2**63), max_value=2**63) | st.sampled_from((10**4299, -(10**4299))),
+    REAL: st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from((-0.0, 5e-324, 1e16)),
+    TEXT: st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+    | st.sampled_from(("],[", '"q"', "\\", "\x00\x1f\n\x7f", "\u2028", "\U0001f600 non-BMP", "日本")),
+    DATE: st.dates().map(lambda d: d.isoformat()),
+}
 
 
-@given(
-    st.lists(st.tuples(_WIRE_CELLS, _WIRE_CELLS), max_size=12),
-    st.data(),
-)
-def test_wire_form_splices_the_canonical_encoding_of_any_positions(rows, data):
-    rows = tuple(rows)
-    wire = WireForm()
-    wire.count_sent(rows, len(rows))
+@st.composite
+def _typed_rows(draw):
+    """(column types, rows of cells of those types); no column at all too."""
+    types = tuple(draw(st.lists(st.sampled_from(COLUMN_TYPES), max_size=5)))
+    rows = draw(st.lists(st.tuples(*(_WIRE_CELLS[t] for t in types)), max_size=12))
+    return types, tuple(rows)
+
+
+@given(_typed_rows(), st.data())
+def test_wire_form_splices_the_canonical_encoding_of_any_positions(typed, data):
+    types, rows = typed
+    segment = Segment("ns.t", tuple(f"c{i}" for i in range(len(types))), types, rows, 0)
+    # A full-width result of every row, encoded cell by cell, builds the
+    # wire form, which holds the same bytes.
+    encoded, _ = segment.select(list(range(len(types))), (), None)
+    wire = segment.wire
     assert b"[" + wire.buf + b"]" == canonical_bytes(rows)
+    assert encoded.wire == wire.buf
     hits = sorted(data.draw(st.sets(st.integers(0, max(0, len(rows) - 1)), max_size=len(rows))))
     for picked in (hits, range(len(rows)), range(len(rows) // 2, len(rows))):
         spliced = wire.splice(picked)
         assert spliced == tuple(rows[i] for i in picked)
         assert b"[" + bytes(spliced.wire) + b"]" == canonical_bytes([rows[i] for i in picked])
+
+
+def test_wire_form_across_build_steps():
+    # More rows than one build step, so steps join with a comma too.
+    types = (INT, TEXT, REAL, DATE)
+    rows = tuple((i, "é" * (i % 3), i / 7, days_to_date(19000 + i % 50)) for i in range(2500))
+    wire = WireForm()
+    wire.count_sent(rows, types, len(rows) - 1)
+    assert wire.buf is None
+    wire.count_sent(rows, types, 1)
+    assert b"[" + wire.buf + b"]" == canonical_bytes(rows)
+    assert [wire.buf[s:e] for s, e in zip(wire.starts, wire.ends)] == [canonical_bytes(row) for row in rows]
+    empty = WireForm()
+    empty.count_sent((), types, 0)
+    assert (empty.buf, empty.starts, empty.ends) == (b"", array("q"), array("q"))
 
 
 def test_scan_positions_agrees_with_scan():
@@ -557,12 +586,3 @@ def test_a_column_already_in_row_order_costs_no_memory_and_no_sort():
     terms = compile_predicate(_SCHEMA, Predicate((Comparison("w", ">=", Literal.integer(10)),)))
     # The LIMIT reads two rows, though the window holds sixty.
     assert orders.positions(_Unscannable(rows), terms, 2) == range(30, 32)
-
-
-def test_encode_each_across_steps():
-    # More items than one encoding step, so steps join with a comma too.
-    items = [(i, "é" * (i % 3), i / 7) for i in range(2500)]
-    buf, starts, ends = encode_each(items)
-    assert b"[" + buf + b"]" == canonical_bytes(items)
-    assert [buf[s:e] for s, e in zip(starts, ends)] == [canonical_bytes(item) for item in items]
-    assert encode_each([]) == (b"", array("q"), array("q"))
