@@ -160,8 +160,11 @@ class AuditLedger:
         return self._count
 
     def events(self) -> list[AuditEvent]:
-        with open(self._path, "rb") as fh:
-            return [AuditEvent(*(obj[f] for f in _FIELDS)) for obj in _records(fh, self._path)]
+        try:
+            with open(self._path, "rb") as fh:
+                return [AuditEvent(*(obj[f] for f in _FIELDS)) for obj in _records(fh, self._path)]
+        except OSError as exc:
+            raise StorageFailure(f"cannot read audit log {self._path}: {exc}") from None
 
     def append(self, timestamp: int, actor: str, kind: str, payload: dict) -> AuditEvent:
         if kind not in KINDS:
@@ -196,8 +199,11 @@ class AuditLedger:
         call already checked are only rehashed against its digest;
         parsing resumes where that call stopped.
         """
-        with open(self._path, "rb") as fh:
-            bad, self._memo = _verify_lines(fh, self._memo)
+        try:
+            with open(self._path, "rb") as fh:
+                bad, self._memo = _verify_lines(fh, self._memo)
+        except OSError as exc:
+            raise StorageFailure(f"cannot read audit log {self._path}: {exc}") from None
         return bad
 
     def close(self):
@@ -321,17 +327,15 @@ def verify_file(path) -> int | None:
 
 
 def _records(fh, name):
-    """Each non-blank line of `fh` as a dict carrying all seven fields.
+    """Each line of `fh` as a dict carrying all seven fields.
 
     A line that is not UTF-8, not JSON, or not such an object raises
-    StorageFailure naming its line number. Nothing here checks the chain.
+    StorageFailure naming its line number; so does a blank line, which
+    verify finds bad at its seq. Nothing here checks the chain.
     """
     for lineno, raw in enumerate(fh, 1):
         try:
-            text = raw.decode("utf-8")
-            if not text.strip():
-                continue
-            obj = json.loads(text)
+            obj = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise StorageFailure(f"corrupt audit log {name} line {lineno}: {exc}") from None
         if not isinstance(obj, dict) or any(f not in obj for f in _FIELDS):

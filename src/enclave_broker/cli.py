@@ -1,4 +1,4 @@
-"""Operator CLI: one subcommand per broker protocol op.
+"""Operator CLI: one subcommand per broker protocol op, each a row of `COMMANDS`.
 
 Exit codes are part of the interface: 0 success, 1 denied by policy,
 2 usage error, 3 broker or transport failure. With --json, stdout is
@@ -12,6 +12,7 @@ import json
 import os
 import socket
 import sys
+from typing import Callable, NamedTuple
 
 from .canonical import canonical_json
 from .contract_dsl import parse_contract
@@ -75,72 +76,49 @@ def request(endpoint: str, op: str, args: dict, token: str | None = None) -> dic
         raise TransportError(f"broker sent bad JSON: {exc}") from None
 
 
-class Run:
-    """Carries the global flags and turns responses into output + exit codes."""
-
-    def __init__(self, endpoint: str | None, token: str | None, as_json: bool):
-        self.endpoint = endpoint
-        self.token = token
-        self.as_json = as_json
-
-    def call(self, op: str, args: dict, render, token: str | None = None) -> int:
-        if not self.endpoint:
-            print("no endpoint; pass --endpoint or set ENCLAVE_BROKER_ENDPOINT", file=sys.stderr)
-            return EXIT_USAGE
-        response = request(self.endpoint, op, args, token)
-        if response.get("ok"):
-            result = response["result"]
-            if self.as_json:
-                print(canonical_json(result))
-            else:
-                render(result)
-            return EXIT_OK
-        error = response.get("error", {})
-        code = error.get("code", "BrokerError")
-        if self.as_json:
-            print(canonical_json(error))
-        else:
-            print(code)
-            print(error.get("message", ""), file=sys.stderr)
-        return EXIT_DENIED if code in POLICY_CODES else EXIT_BROKER
-
-
-def _render_query(result: dict):
-    print(", ".join(result["columns"]))
-    for row in result["rows"]:
-        print("\t".join(str(cell) for cell in row))
+def _render_query(result: dict) -> str:
+    lines = [", ".join(result["columns"])]
+    lines += ["\t".join(str(cell) for cell in row) for row in result["rows"]]
     if result["truncated"]:
-        print("(truncated)")
+        lines.append("(truncated)")
+    return "\n".join(lines)
 
 
-def _render_alerts(result: dict):
-    for a in result["alerts"]:
-        print(
-            f"{a['alert_id']}\t{a['rule']}\t{a['severity']}\t"
-            f"session={a['session_id']}\tcontract={a['contract_id']}\tt={a['timestamp']}"
-        )
+def _render_alerts(result: dict) -> str:
     if not result["alerts"]:
-        print("no alerts")
+        return "no alerts"
+    return "\n".join(
+        f"{a['alert_id']}\t{a['rule']}\t{a['severity']}\t"
+        f"session={a['session_id']}\tcontract={a['contract_id']}\tt={a['timestamp']}"
+        for a in result["alerts"]
+    )
 
 
-def _render_audit_export(result: dict):
-    for event in result["events"]:
-        print(canonical_json(event))
+def _render_sweep(result: dict) -> str:
+    return (
+        f"expired contracts: {', '.join(result['expired']) or '-'}\n"
+        f"expired enclaves: {', '.join(result['expired_enclaves']) or '-'}\n"
+        f"break-glass auto-revoked: {', '.join(result['bg_auto_revoked']) or '-'}"
+    )
 
 
-def _render_sweep(result: dict):
-    print(f"expired contracts: {', '.join(result['expired']) or '-'}")
-    print(f"expired enclaves: {', '.join(result['expired_enclaves']) or '-'}")
-    print(f"break-glass auto-revoked: {', '.join(result['bg_auto_revoked']) or '-'}")
+def _render_bg(result: dict) -> str:
+    line = f"request {result['request_id']} ({result['status']})"
+    if result["status"] == "Activated":
+        line += f"; enclave {result['enclave_id']}; token {result['token']}"
+    return line
+
+
+def _render_verify(result: dict) -> str:
+    if result["verified"]:
+        return f"Ok ({result['events']} events)"
+    return f"FirstBadSeq: {result['first_bad_seq']}"
 
 
 def _lint(path: str, tables: list[tuple[str, str]]) -> int:
     """Offline check: parse, and validate when table CSVs are given."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+    text = _read_file(path)
+    if text is None:
         return EXIT_USAGE
     try:
         contract = parse_contract(text)
@@ -187,6 +165,111 @@ def table_arg(arg: str) -> tuple[str, str]:
     return name, path
 
 
+class _FilePath(str):
+    """A path argument whose file's text is sent in its place."""
+
+
+class Command(NamedTuple):
+    path: str  # "group leaf", or a top-level leaf
+    help: str
+    op: str | None  # None: the offline `contract lint`
+    args: tuple[tuple[str, str | None, dict], ...]  # (CLI name, op arg, argparse keywords)
+    render: Callable[[dict], str] | None  # the text printed for an ok result
+
+
+_GROUPS = {
+    "contract": "manage data contracts",
+    "enclave": "manage enclaves",
+    "session": "manage gateway sessions",
+    "audit": "export or verify the audit ledger",
+    "bg": "break-glass emergency access",
+    "clock": "control the logical clock",
+}
+
+COMMANDS = (
+    Command(
+        "contract submit", "parse, validate, and store a contract", "submit_contract",
+        (("file", "text", {"type": _FilePath}),),
+        lambda r: f"submitted {r['contract_id']} ({r['status']})",
+    ),
+    Command(
+        "contract activate", "start a contract's TTL", "activate_contract",
+        (("contract_id", "contract_id", {}),),
+        lambda r: f"activated {r['contract_id']}; expires_at {r['expires_at']}; token {r['token']}",
+    ),
+    Command(
+        "contract revoke", "kill a contract and its enclaves now", "revoke_contract",
+        (("contract_id", "contract_id", {}), ("--reason", "reason", {"default": ""})),
+        lambda r: f"revoked {r['contract_id']}",
+    ),
+    Command(
+        "contract lint", "offline parse (and validate with --table)", None,
+        (
+            ("file", None, {}),
+            ("--table", None, {"action": "append", "default": [], "type": table_arg, "metavar": "NS.TBL=CSV"}),
+        ),
+        None,
+    ),
+    Command(
+        "enclave broker", "define, provision, seal, and serve in one step", "broker_enclave",
+        (("contract_id", "contract_id", {}),),
+        lambda r: f"enclave {r['enclave_id']} {r['state']}",
+    ),
+    Command(
+        "session open", "open a session on a Serving enclave", "open_session",
+        (("enclave_id", "enclave_id", {}),),
+        lambda r: f"session {r['session_id']}",
+    ),
+    Command(
+        "session close", "close a session", "close_session",
+        (("session_id", "session_id", {}),),
+        lambda r: f"closed {r['session_id']}",
+    ),
+    Command(
+        "query", "run one statement in a session", "query",
+        (("session_id", "session_id", {}), ("statement", "text", {})),
+        _render_query,
+    ),
+    Command(
+        "alerts", "list monitor alerts", "alerts",
+        (
+            ("--rule", "rule", {}),
+            ("--contract", "contract_id", {}),
+            ("--enclave", "enclave_id", {}),
+            ("--since", "since", {"type": int}),
+            ("--until", "until", {"type": int}),
+        ),
+        _render_alerts,
+    ),
+    Command(
+        "audit export", "print the ledger as JSON lines", "audit_export", (),
+        lambda r: "\n".join(canonical_json(event) for event in r["events"]),
+    ),
+    Command("audit verify", "re-verify the persisted hash chain", "audit_verify", (), _render_verify),
+    Command(
+        "bg request", "file an emergency access request", "bg_request",
+        (
+            ("file", "template", {"type": _FilePath, "help": "contract template file"}),
+            ("--account", "account", {"required": True}),
+            ("--justification", "justification", {"default": ""}),
+        ),
+        _render_bg,
+    ),
+    Command(
+        "bg approve", "add one approval", "bg_approve",
+        (("request_id", "request_id", {}), ("--approver", "approver", {"required": True})),
+        _render_bg,
+    ),
+    Command("bg deny", "deny a pending request", "bg_deny", (("request_id", "request_id", {}),), _render_bg),
+    Command(
+        "clock tick", "advance the logical clock", "tick",
+        (("seconds", "seconds", {"type": int}),),
+        lambda r: f"now {r['now']}",
+    ),
+    Command("sweep", "expire contracts and enclaves past their TTL", "sweep", (), _render_sweep),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The shared flags ride on every leaf parser so they work before or
     # after the subcommand; SUPPRESS keeps leaves from clobbering them.
@@ -203,206 +286,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enclave-broker", description="Talk to the data access broker.", parents=[shared]
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    contract = sub.add_parser("contract", help="manage data contracts")
-    csub = contract.add_subparsers(dest="action", required=True)
-    p = csub.add_parser("submit", parents=[shared], help="parse, validate, and store a contract")
-    p.add_argument("file")
-    p = csub.add_parser("activate", parents=[shared], help="start a contract's TTL")
-    p.add_argument("contract_id")
-    p = csub.add_parser("revoke", parents=[shared], help="kill a contract and its enclaves now")
-    p.add_argument("contract_id")
-    p.add_argument("--reason", default="")
-    p = csub.add_parser("lint", parents=[shared], help="offline parse (and validate with --table)")
-    p.add_argument("file")
-    p.add_argument("--table", action="append", default=[], type=table_arg, metavar="NS.TBL=CSV")
-
-    enclave = sub.add_parser("enclave", help="manage enclaves")
-    esub = enclave.add_subparsers(dest="action", required=True)
-    p = esub.add_parser(
-        "broker", parents=[shared], help="define, provision, seal, and serve in one step"
-    )
-    p.add_argument("contract_id")
-
-    session = sub.add_parser("session", help="manage gateway sessions")
-    ssub = session.add_subparsers(dest="action", required=True)
-    p = ssub.add_parser("open", parents=[shared], help="open a session on a Serving enclave")
-    p.add_argument("enclave_id")
-    p = ssub.add_parser("close", parents=[shared], help="close a session")
-    p.add_argument("session_id")
-
-    p = sub.add_parser("query", parents=[shared], help="run one statement in a session")
-    p.add_argument("session_id")
-    p.add_argument("statement")
-
-    p = sub.add_parser("alerts", parents=[shared], help="list monitor alerts")
-    p.add_argument("--rule")
-    p.add_argument("--contract")
-    p.add_argument("--enclave")
-    p.add_argument("--since", type=int)
-    p.add_argument("--until", type=int)
-
-    audit = sub.add_parser("audit", help="export or verify the audit ledger")
-    asub = audit.add_subparsers(dest="action", required=True)
-    asub.add_parser("export", parents=[shared], help="print the ledger as JSON lines")
-    asub.add_parser("verify", parents=[shared], help="re-verify the persisted hash chain")
-
-    bg = sub.add_parser("bg", help="break-glass emergency access")
-    bsub = bg.add_subparsers(dest="action", required=True)
-    p = bsub.add_parser("request", parents=[shared], help="file an emergency access request")
-    p.add_argument("file", help="contract template file")
-    p.add_argument("--account", required=True)
-    p.add_argument("--justification", default="")
-    p = bsub.add_parser("approve", parents=[shared], help="add one approval")
-    p.add_argument("request_id")
-    p.add_argument("--approver", required=True)
-    p = bsub.add_parser("deny", parents=[shared], help="deny a pending request")
-    p.add_argument("request_id")
-
-    clock = sub.add_parser("clock", help="control the logical clock")
-    ksub = clock.add_subparsers(dest="action", required=True)
-    p = ksub.add_parser("tick", parents=[shared], help="advance the logical clock")
-    p.add_argument("seconds", type=int)
-
-    sub.add_parser("sweep", parents=[shared], help="expire contracts and enclaves past their TTL")
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for command in COMMANDS:
+        group, _, name = command.path.rpartition(" ")
+        if group not in subparsers:
+            group_parser = subparsers[""].add_parser(group, help=_GROUPS[group])
+            subparsers[group] = group_parser.add_subparsers(dest="action", required=True)
+        leaf = subparsers[group].add_parser(name, parents=[shared], help=command.help)
+        for flag, _, keywords in command.args:
+            leaf.add_argument(flag, **keywords)
+        leaf.set_defaults(leaf=command)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    endpoint = getattr(args, "endpoint", None) or os.environ.get("ENCLAVE_BROKER_ENDPOINT")
-    run = Run(endpoint, getattr(args, "token", None), getattr(args, "json", False))
     try:
-        return _run_command(run, args)
+        return _dispatch(args.leaf, args)
     except TransportError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BROKER
 
 
-def _run_command(run: Run, args) -> int:
-    if args.command == "contract":
-        if args.action == "lint":
-            return _lint(args.file, args.table)
-        if args.action == "submit":
-            text = _read_file(args.file)
-            if text is None:
+def _dispatch(command: Command, args) -> int:
+    if command.op is None:
+        return _lint(args.file, args.table)
+    op_args = {}
+    for flag, name, _ in command.args:
+        value = getattr(args, flag.lstrip("-"))
+        if isinstance(value, _FilePath):
+            value = _read_file(value)
+            if value is None:
                 return EXIT_USAGE
-            return run.call(
-                "submit_contract",
-                {"text": text},
-                lambda r: print(f"submitted {r['contract_id']} ({r['status']})"),
-            )
-        if args.action == "activate":
-            return run.call(
-                "activate_contract",
-                {"contract_id": args.contract_id},
-                lambda r: print(
-                    f"activated {r['contract_id']}; expires_at {r['expires_at']}; token {r['token']}"
-                ),
-            )
-        if args.action == "revoke":
-            return run.call(
-                "revoke_contract",
-                {"contract_id": args.contract_id, "reason": args.reason},
-                lambda r: print(f"revoked {r['contract_id']}"),
-            )
-    if args.command == "enclave":
-        return run.call(
-            "broker_enclave",
-            {"contract_id": args.contract_id},
-            lambda r: print(f"enclave {r['enclave_id']} {r['state']}"),
-        )
-    if args.command == "session":
-        if args.action == "open":
-            return run.call(
-                "open_session",
-                {"enclave_id": args.enclave_id},
-                lambda r: print(f"session {r['session_id']}"),
-                token=run.token,
-            )
-        return run.call(
-            "close_session",
-            {"session_id": args.session_id},
-            lambda r: print(f"closed {r['session_id']}"),
-        )
-    if args.command == "query":
-        return run.call(
-            "query", {"session_id": args.session_id, "text": args.statement}, _render_query
-        )
-    if args.command == "alerts":
-        return run.call(
-            "alerts",
-            {
-                "rule": args.rule,
-                "contract_id": args.contract,
-                "enclave_id": args.enclave,
-                "since": args.since,
-                "until": args.until,
-            },
-            _render_alerts,
-        )
-    if args.command == "audit":
-        if args.action == "export":
-            return run.call("audit_export", {}, _render_audit_export)
-        return _audit_verify(run)
-    if args.command == "bg":
-        if args.action == "request":
-            text = _read_file(args.file)
-            if text is None:
-                return EXIT_USAGE
-            return run.call(
-                "bg_request",
-                {"account": args.account, "template": text, "justification": args.justification},
-                lambda r: print(f"request {r['request_id']} ({r['status']})"),
-            )
-        if args.action == "approve":
-            return run.call(
-                "bg_approve",
-                {"request_id": args.request_id, "approver": args.approver},
-                _render_bg_approve,
-            )
-        return run.call(
-            "bg_deny",
-            {"request_id": args.request_id},
-            lambda r: print(f"request {r['request_id']} ({r['status']})"),
-        )
-    if args.command == "clock":
-        return run.call("tick", {"seconds": args.seconds}, lambda r: print(f"now {r['now']}"))
-    if args.command == "sweep":
-        return run.call("sweep", {}, _render_sweep)
-    return EXIT_USAGE  # unreachable with required subparsers
-
-
-def _render_bg_approve(result: dict):
-    line = f"request {result['request_id']} ({result['status']})"
-    if result["status"] == "Activated":
-        line += f"; enclave {result['enclave_id']}; token {result['token']}"
-    print(line)
-
-
-def _audit_verify(run: Run) -> int:
-    if not run.endpoint:
+        op_args[name] = value
+    endpoint = getattr(args, "endpoint", None) or os.environ.get("ENCLAVE_BROKER_ENDPOINT")
+    if not endpoint:
         print("no endpoint; pass --endpoint or set ENCLAVE_BROKER_ENDPOINT", file=sys.stderr)
         return EXIT_USAGE
-    response = request(run.endpoint, "audit_verify", {})
-    if not response.get("ok"):
-        error = response.get("error", {})
-        if run.as_json:
-            print(canonical_json(error))
-        else:
-            print(error.get("code", "BrokerError"))
-            print(error.get("message", ""), file=sys.stderr)
-        return EXIT_BROKER
-    result = response["result"]
-    if run.as_json:
-        print(canonical_json(result))
-        return EXIT_OK if result["verified"] else EXIT_DENIED
-    if result["verified"]:
-        print(f"Ok ({result['events']} events)")
-        return EXIT_OK
-    print(f"FirstBadSeq: {result['first_bad_seq']}")
-    return EXIT_DENIED
+    token = getattr(args, "token", None) if command.op == "open_session" else None
+    response = request(endpoint, command.op, op_args, token)
+    as_json = getattr(args, "json", False)
+    if response.get("ok"):
+        result = response["result"]
+        text = canonical_json(result) if as_json else command.render(result)
+        if text:
+            print(text)
+        # `audit verify` answering a broken chain is a refusal, not a failure.
+        return EXIT_DENIED if result.get("verified") is False else EXIT_OK
+    error = response.get("error", {})
+    code = error.get("code", "BrokerError")
+    if as_json:
+        print(canonical_json(error))
+    else:
+        print(code)
+        print(error.get("message", ""), file=sys.stderr)
+    return EXIT_DENIED if code in POLICY_CODES else EXIT_BROKER
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import os
 import socket
 import threading
 
+from . import breakglass, monitor
 from .broker import BrokerConfig, BrokerCore
 from .canonical import EncodedRows, canonical_json
 from .cli import table_arg
@@ -138,11 +139,11 @@ def main(argv=None) -> int:
         help="register a source table from a CSV file (repeatable)",
     )
     parser.add_argument("--clock", choices=["logical", "wall"], default="logical")
-    parser.add_argument("--volume-threshold", type=int, default=10000)
-    parser.add_argument("--probing-threshold", type=int, default=5)
-    parser.add_argument("--probing-window", type=int, default=300)
-    parser.add_argument("--bg-quorum", type=int, default=2)
-    parser.add_argument("--bg-window", type=int, default=900)
+    parser.add_argument("--volume-threshold", type=int, default=monitor.DEFAULT_VOLUME_THRESHOLD)
+    parser.add_argument("--probing-threshold", type=int, default=monitor.DEFAULT_PROBING_THRESHOLD)
+    parser.add_argument("--probing-window", type=int, default=monitor.DEFAULT_PROBING_WINDOW)
+    parser.add_argument("--bg-quorum", type=int, default=breakglass.DEFAULT_QUORUM)
+    parser.add_argument("--bg-window", type=int, default=breakglass.DEFAULT_ACTIVATION_WINDOW)
     parser.add_argument(
         "--bg-account", action="append", default=[], help="register a break-glass account (repeatable)"
     )

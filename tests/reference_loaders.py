@@ -1,11 +1,12 @@
 """The loaders as they were before they streamed, kept as references.
 
 `load_events` is the ledger open that parsed every line into an
-`AuditEvent` and kept them all. `load_table_csv` converts and checks
-one cell at a time; a DATE cell becomes the ISO text of its day count.
-The tests run the streaming code and these on the same inputs and
-require the same result or the same error. `check_cell` checks one
-Python value as a cell of a column type.
+`AuditEvent` and kept them all, refusing a blank line as the open
+does. `load_table_csv` converts and checks one cell at a time; a DATE
+cell becomes the ISO text of its day count. The tests run the
+streaming code and these on the same inputs and require the same
+result or the same error. `check_cell` checks one Python value as a
+cell of a column type.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ def load_events(path) -> list[AuditEvent]:
     events = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            if not line.strip():
-                continue
             try:
                 obj = json.loads(line)
                 events.append(

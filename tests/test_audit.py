@@ -179,6 +179,17 @@ def test_garbage_line_detected(tmp_path):
     assert verify_file(path) == 3
 
 
+def test_the_open_refuses_a_blank_line_as_verify_does(tmp_path):
+    # A blank line is bad at its seq for verify, so the open refuses it
+    # too, rather than count past it and leave a chain that never verifies.
+    path = make_file(tmp_path, 3)
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
+    assert verify_file(path) == 3
+    with pytest.raises(StorageFailure, match="line 4"):
+        AuditLedger(str(path))
+
+
 # JSON that the parser refuses with something other than a JSONDecodeError:
 # an integer past the int-to-str digit limit (a ValueError) and nesting
 # past the recursion limit (a RecursionError).

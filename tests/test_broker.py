@@ -486,6 +486,19 @@ def test_audit_verify_answers_on_a_line_the_parser_refuses(tmp_path, line):
     core.close()
 
 
+def test_audit_ops_answer_storage_failure_when_the_log_cannot_be_read(tmp_path):
+    # `handle` never raises: a ledger it cannot read is a StorageFailure
+    # reply, as a failed append is.
+    core = make_core(tmp_path)
+    ok(core, "tick", {"seconds": 5})
+    (tmp_path / "audit.log").rename(tmp_path / "moved.log")
+    for op in ("audit_verify", "audit_export"):
+        reply = core.handle({"id": 1, "op": op})
+        assert not reply["ok"]
+        assert reply["error"]["code"] == "StorageFailure"
+        assert "audit.log" in reply["error"]["message"]
+
+
 def test_restart_never_resurrects_expired_access(tmp_path):
     core = make_core(tmp_path)
     standard_session(core)

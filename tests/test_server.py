@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclave_broker.broker import BrokerConfig
 from enclave_broker.canonical import EncodedRows, canonical_json
 from enclave_broker.lexer import escape_string
 from enclave_broker.model import DATE, INT, REAL, TEXT, days_to_date
@@ -472,3 +473,23 @@ def test_replies_match_an_oracle_for_any_projection_predicate_and_cap(tmp_path):
         assert canonical_json(response).encode("utf-8") == want_line, statement
 
     check()
+
+
+def test_daemon_defaults_are_the_config_defaults(tmp_path, monkeypatch, capsys):
+    configs = []
+
+    class Started:
+        def wait(self):
+            pass
+
+        def stop(self):
+            pass
+
+    def fake_serve(config, endpoint):
+        configs.append(config)
+        return Started()
+
+    monkeypatch.setattr(server_module, "serve", fake_serve)
+    assert server_module.main(["--endpoint", str(tmp_path / "b.sock"), "--data-dir", str(tmp_path)]) == 0
+    assert configs == [BrokerConfig(data_dir=str(tmp_path))]
+    assert capsys.readouterr().out == f"listening on {tmp_path / 'b.sock'}\n"
