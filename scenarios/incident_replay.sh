@@ -62,13 +62,32 @@ BEFORE=$(enclave-broker audit verify)
 echo "$BEFORE"
 [[ "$BEFORE" == "Ok ("*" events)" ]] || { echo "unexpected verdict: $BEFORE" >&2; exit 1; }
 
+restart_broker() {
+  kill "$BROKER_PID"
+  wait "$BROKER_PID" || true
+  rm -f "$ENCLAVE_BROKER_ENDPOINT"  # a killed broker leaves its socket file
+  start_broker
+}
+
 echo
 echo "== the same trail, checked by a fresh broker =="
-# The first verify after a start checks every line from byte 0.
-kill "$BROKER_PID"
-wait "$BROKER_PID" || true
-rm -f "$ENCLAVE_BROKER_ENDPOINT"  # a killed broker leaves its socket file
-start_broker
+# A start parses every line and keeps a digest of the lines it checked;
+# the first verify after it rehashes those lines instead of parsing them.
+restart_broker
 AFTER=$(enclave-broker audit verify)
 echo "$AFTER"
 [ "$AFTER" = "$BEFORE" ] || { echo "after the restart: $AFTER; before: $BEFORE" >&2; exit 1; }
+
+echo
+echo "== one byte of seq 1 rewritten after a start =="
+# Overwrite in place, so the broker keeps appending to the same file. The
+# lines no longer hash to the digest the start kept, so the first verify
+# checks every line in full, and must name seq 1.
+restart_broker
+LOG="$WORK/state/audit.log"
+LINE1=$(head -n 1 "$LOG" | wc -c)
+KEY=$(sed -n 2p "$LOG" | grep -b -o '"payload":{"' | head -n 1 | cut -d: -f1)
+printf 'Z' | dd of="$LOG" bs=1 seek=$((LINE1 + KEY + 12)) conv=notrunc status=none
+TAMPERED=$(enclave-broker audit verify) && STATUS=0 || STATUS=$?
+echo "$TAMPERED (exit $STATUS)"
+[ "$STATUS" -eq 1 ] && [ "$TAMPERED" = "FirstBadSeq: 1" ] || { echo "after the rewrite: $TAMPERED, exit $STATUS" >&2; exit 1; }

@@ -7,10 +7,11 @@ answers who accessed what, when, and under which contract, and it can
 prove nobody rewrote the answer.
 
 Persistence is JSON-Lines: one canonically encoded event per line, in
-one file. Opening the log checks that every line is a readable event
-but not the chain, which only `verify` checks. An append that fails
-leaves the file as it was: its bytes are cut back off, and if even that
-fails the ledger closes, so every later append fails too.
+one file. Opening the log refuses any line that is not a readable event
+with all seven fields, and checks no hash: only `verify` does. An
+append that fails leaves the file as it was: its bytes are cut back
+off, and if even that fails the ledger closes, so every later append
+fails too.
 
 The hash rule is defined on a line's bytes: an event's hash is the
 SHA-256 of its line with the trailing newline and the first
@@ -35,11 +36,36 @@ file it already checked: if those bytes still hash to that digest, they
 are the bytes that were checked, and only the lines after them are
 parsed and rehashed. The digest is never written to disk, where anyone
 who can write the data dir could forge it.
+
+A line is sound when it passes two halves of one rule. The structural
+half reads the parsed line: one object with exactly the seven fields,
+`seq` equal to the line's position, `prev_hash` equal to the previous
+line's stored hash, an object `payload`, and the stored `hash` equal to
+the 64 ASCII characters at the first `,"hash":"` cut. The byte half
+reads only bytes: the SHA-256 of the line with the cut taken out equals
+the 64 hex digits at the cut. `verify` applies both to each line
+(`_check_line`), chaining on the hash it computed. The open parses
+every line anyway, so it applies the structural half to the longest
+prefix of newline-terminated lines that pass it, feeding them to a
+running SHA-256, and keeps that prefix's memo. The first
+`verify` then applies only the byte half to those lines, rehashing
+them as it goes; if the rehash of the prefix equals the open's digest,
+these are the bytes the open checked, so each of them passed both
+halves, and the full check resumes after the prefix. If it differs, the
+file changed since the open, and the open's memo is dropped unused.
+The answer is `verify_file`'s either way: before the first line that
+fails, each stored hash equals the computed one (the byte half compares
+the computed hash with the cut, and the structural half the cut with
+the stored field), so chaining on stored hashes, as the open does, is
+the same chain as chaining on computed ones, as `verify_file` does.
+The open's digest is trusted exactly as a verify's: computed here,
+over bytes checked here, and never written anywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -132,7 +158,9 @@ class AuditLedger:
     """The chain's length and head, over its file.
 
     No event object is kept: the open reads the log once and keeps only
-    the event count and the last hash, which is all an append needs.
+    the event count and the last hash, which is all an append needs, and
+    the memo of the prefix whose structure it checked, for the first
+    verify.
     Each append is written, unbuffered, before the triggering operation
     is allowed to report success; anything that wants the events back
     reads them from the log.
@@ -141,12 +169,13 @@ class AuditLedger:
     def __init__(self, path):
         self._path = path
         self._memo = _START  # where the last verify of the log left off
+        self._opened = None  # the prefix the open checked, until a verify passes it
         # Unbuffered, so a refused write leaves no bytes behind to reach
         # the file with the next append's.
         self._fh = open(path, "ab", buffering=0)
         try:
             with open(path, "rb") as reader:
-                self._count, self._last = _head(reader, path)
+                self._count, self._last, self._opened = _head(reader, path)
             self._size = os.fstat(self._fh.fileno()).st_size
         except BaseException:
             self._fh.close()
@@ -197,11 +226,13 @@ class AuditLedger:
         The answer is always `verify_file`'s for the same bytes. The log
         is re-read from byte 0 on every call, but the bytes an earlier
         call already checked are only rehashed against its digest;
-        parsing resumes where that call stopped.
+        parsing resumes where that call stopped. The lines the open
+        checked are not parsed again either: only their hashes are
+        checked (see the module docstring).
         """
         try:
             with open(self._path, "rb") as fh:
-                bad, self._memo = _verify_lines(fh, self._memo)
+                bad, self._memo, self._opened = _verify_lines(fh, self._memo, self._opened)
         except OSError as exc:
             raise StorageFailure(f"cannot read audit log {self._path}: {exc}") from None
         return bad
@@ -229,35 +260,71 @@ def _unique_keys(pairs):
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _check_line(raw: bytes, obj, position: int, prev_hash: str) -> str | None:
-    """Returns the event's hash if the line is sound at `position`, else None.
+def _decode_line(raw: bytes):
+    """`raw` parsed by `_DECODER`; raises ValueError or RecursionError
+    exactly where `_DECODER.decode` does.
 
-    `obj` is `raw` parsed by `_DECODER`. The hash must be the SHA-256 of
-    `raw` with its newline and first `,"hash":"<64 hex>"` cut out, and
-    the cut must be that hash.
+    A value that starts at byte 0 and ends at the newline is taken
+    straight from the scanner, which skips `decode`'s two whitespace
+    matches; any other line goes through `decode` itself.
     """
+    text = raw.decode("utf-8")
+    try:
+        obj, end = _DECODER.scan_once(text, 0)
+        if end == len(text) - 1 and text[end] == "\n":
+            return obj
+    except StopIteration:  # no value at byte 0
+        pass
+    return _DECODER.decode(text)
+
+
+def _sound(raw: bytes, obj, position: int, prev_hash: str) -> bool:
+    """The structural half of the line rule: is `obj`, which is `raw`
+    parsed by `_DECODER`, the event at `position` chaining from
+    `prev_hash`, with its stored hash as the 64 characters at the cut?"""
     if not isinstance(obj, dict) or obj.keys() != _FIELD_SET:
-        return None
+        return False
     if obj["seq"] != position or obj["prev_hash"] != prev_hash:
-        return None
+        return False
     if not isinstance(obj["payload"], dict):
-        return None
+        return False
+    stored = obj["hash"]
+    if not (isinstance(stored, str) and len(stored) == 64 and stored.isascii()):
+        return False
+    at = raw.find(_HASH_KEY)
+    return at >= 0 and raw.startswith(stored.encode("ascii") + b'"', at + _HASH_AT)
+
+
+def _line_hash(raw: bytes) -> str | None:
+    """The byte half of the line rule: the SHA-256 of `raw` with its
+    newline and first `,"hash":"<64 hex>"` cut out, if the cut holds
+    that hash; else None."""
     at = raw.find(_HASH_KEY)
     if at < 0:
         return None
     h = hashlib.sha256(raw[:at])
     h.update(raw[at + _HASH_CUT : len(raw) - raw.endswith(b"\n")])
     digest = h.hexdigest()
-    if obj["hash"] != digest or not raw.startswith(digest.encode("ascii") + b'"', at + _HASH_AT):
+    if not raw.startswith(digest.encode("ascii") + b'"', at + _HASH_AT):
         return None
     return digest
+
+
+def _check_line(raw: bytes, obj, position: int, prev_hash: str) -> str | None:
+    """Returns the event's hash if the line is sound at `position`, else None.
+
+    `obj` is `raw` parsed by `_DECODER`. Both halves of the rule must
+    hold; then the stored hash is the computed one.
+    """
+    return _line_hash(raw) if _sound(raw, obj, position, prev_hash) else None
 
 
 @dataclass(frozen=True)
 class _Memo:
     """Where a verify of the file left off: bytes [0, offset) hash to
     `digest` and end with a newline, and the line at `offset` must carry
-    seq `seq` and chain from `prev`."""
+    seq `seq` and chain from `prev`. The open's memo says the same of
+    the structural half of the rule only."""
 
     offset: int
     digest: bytes
@@ -286,20 +353,62 @@ def _resume(fh, memo: _Memo):
     return hashlib.sha256(), _START
 
 
-def _verify_lines(fh, memo: _Memo) -> tuple[int | None, _Memo]:
+def _rehash_opened(fh, h, memo: _Memo, opened: _Memo):
+    """Apply the byte half of the rule to the lines from `memo` to the
+    end of the prefix `opened`, feeding every byte of them to `h`.
+
+    Returns None if those bytes are not the ones the open checked: they
+    do not end where its prefix did, or do not hash to its digest. Else
+    returns the first bad seq (None if there is none) and the memo of
+    the sound lines before it, which is `opened` when all are sound.
+    """
+    offset, position, prev = memo.offset, memo.seq, memo.prev
+    found = None
+    for raw in fh:
+        if found is None:
+            digest = _line_hash(raw)
+            if digest is None:
+                found = position, _Memo(offset, h.digest(), position, prev)
+            else:
+                prev = digest
+        h.update(raw)
+        offset += len(raw)
+        position += 1
+        if offset >= opened.offset:
+            break
+    if offset != opened.offset or h.digest() != opened.digest:
+        return None
+    return found or (None, opened)
+
+
+def _verify_lines(fh, memo: _Memo, opened: _Memo | None = None) -> tuple[int | None, _Memo, _Memo | None]:
     """The one line-checking loop. Checks `fh` from the end of the prefix
     `memo` vouches for (from byte 0 if it no longer does); returns the
-    first bad seq or None, and the memo of the good lines read so far.
+    first bad seq or None, the memo of the good lines read so far, and
+    `opened` while that memo is still behind it.
 
-    Any line that fails to decode, parse, or chain is bad, an integer too
-    long to read and JSON nested too deep included, as at the open.
+    `opened` is the prefix the open found structurally sound: while the
+    file still holds those bytes, its lines get only the byte half of
+    the rule. Any line that fails to decode, parse, or chain is bad, an
+    integer too long to read and JSON nested too deep included, as at
+    the open.
     """
     h, memo = _resume(fh, memo)
+    if opened is not None and memo.offset < opened.offset:
+        before = h.copy()
+        rehashed = _rehash_opened(fh, h, memo, opened)
+        if rehashed is None:  # the file changed since the open
+            fh.seek(memo.offset)
+            h, opened = before, None
+        else:
+            bad, memo = rehashed
+            if bad is not None:
+                return bad, memo, opened
     offset, position, prev = memo.offset, memo.seq, memo.prev
     bad = None
     for raw in fh:
         try:
-            obj = _DECODER.decode(raw.decode("utf-8"))
+            obj = _decode_line(raw)
         except (ValueError, RecursionError):
             bad = position
             break
@@ -313,7 +422,7 @@ def _verify_lines(fh, memo: _Memo) -> tuple[int | None, _Memo]:
         offset += len(raw)
         position += 1
         prev = chained
-    return bad, _Memo(offset, h.digest(), position, prev)
+    return bad, _Memo(offset, h.digest(), position, prev), None
 
 
 def verify_file(path) -> int | None:
@@ -326,14 +435,15 @@ def verify_file(path) -> int | None:
         return _verify_lines(fh, _START)[0]
 
 
-def _records(fh, name):
-    """Each line of `fh` as a dict carrying all seven fields.
+def _records(fh, name, lineno: int = 1):
+    """Each line of `fh`, numbered from `lineno`, as a dict carrying all
+    seven fields.
 
     A line that is not UTF-8, not JSON, or not such an object raises
     StorageFailure naming its line number; so does a blank line, which
     verify finds bad at its seq. Nothing here checks the chain.
     """
-    for lineno, raw in enumerate(fh, 1):
+    for lineno, raw in enumerate(fh, lineno):
         try:
             obj = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
@@ -343,11 +453,33 @@ def _records(fh, name):
         yield obj
 
 
-def _head(fh, name) -> tuple[int, str]:
-    """The event count and last hash of the log in `fh`, in one pass that
-    holds one line at a time."""
-    count, last = 0, GENESIS
-    for obj in _records(fh, name):
+def _head(fh, name) -> tuple[int, str, _Memo]:
+    """The event count and last hash of the log in `fh`, and the memo of
+    its longest structurally sound prefix, in one pass that holds one
+    line at a time.
+
+    The prefix's lines are parsed by `_decode_line` and fed to a running
+    SHA-256. From the first line that is not sound on, the lines are
+    read by `_records`, so what the open accepts and refuses, and the
+    refusal's line number and text, do not depend on the prefix.
+    """
+    h = hashlib.sha256()
+    offset, count, last = 0, 0, GENESIS
+    rest = ()
+    for raw in fh:
+        try:
+            obj = _decode_line(raw)
+        except (ValueError, RecursionError):
+            obj = None  # not sound; `_records` words the refusal
+        if not (raw.endswith(b"\n") and _sound(raw, obj, count, last)):
+            rest = itertools.chain((raw,), fh)
+            break
+        h.update(raw)
+        offset += len(raw)
         count += 1
         last = obj["hash"]
-    return count, last
+    prefix = _Memo(offset, h.digest(), count, last)
+    for obj in _records(rest, name, count + 1):
+        count += 1
+        last = obj["hash"]
+    return count, last, prefix

@@ -45,6 +45,10 @@ class UnknownSource(BrokerError):
     code = "UnknownSource"
 
 
+class UnknownColumn(BrokerError):
+    code = "UnknownColumn"
+
+
 class DuplicateTable(BrokerError):
     code = "DuplicateTable"
 

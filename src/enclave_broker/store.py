@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .canonical import EncodedRows
 from .contracts import Grant
-from .errors import BadConfig, DuplicateTable, StateError, TypeMismatch, UnknownSource
+from .errors import BadConfig, DuplicateTable, TypeMismatch, UnknownColumn, UnknownSource
 from .model import (
     COLUMN_TYPES,
     DATE,
@@ -480,8 +480,9 @@ class TableStore:
     def extract_segment(self, name: str, g: Grant, now: int) -> Segment:
         """Filter by the grant predicate, project to the granted columns.
 
-        Row order follows the source table. The grant must already have
-        been validated against this store's catalog.
+        Row order follows the source table. A column the table lacks,
+        granted or named by the predicate, is `UnknownColumn`: a grant
+        validated at submit can meet a table reloaded from a changed CSV.
         """
         table = self._get(name)
         schema = table.schema
@@ -490,9 +491,10 @@ class TableStore:
         else:
             wanted = list(g.columns)
         index = {col: i for i, (col, _) in enumerate(schema)}
-        for col in wanted:
+        named = g.row_predicate.columns() if g.row_predicate is not None else ()
+        for col in (*wanted, *named):
             if col not in index:
-                raise StateError(f"grant names column {col!r} absent from {name}; validate first")
+                raise UnknownColumn(f"grant names column {col!r}, which {name} lacks")
         picks = [index[col] for col in wanted]
         types = [schema[i][1] for i in picks]
         matched = scan(table.rows, compile_predicate(schema, g.row_predicate))

@@ -2,8 +2,11 @@
 
 `load_events` is the ledger open that parsed every line into an
 `AuditEvent` and kept them all, refusing a blank line as the open
-does. `load_table_csv` converts and checks one cell at a time; a DATE
-cell becomes the ISO text of its day count. The tests run the
+does. `open_head` is the streaming open before it checked a sound
+prefix for the first verify: one `json.loads` per line, the event
+count and the last hash, or the same refusal text. `load_table_csv`
+converts and checks one cell at a time; a DATE cell becomes the ISO
+text of its day count. The tests run the
 streaming code and these on the same inputs and require the same
 result or the same error. `check_cell` checks one Python value as a
 cell of a column type.
@@ -15,15 +18,19 @@ import csv
 import json
 import math
 
-from enclave_broker.audit import AuditEvent
+from enclave_broker.audit import GENESIS, AuditEvent
 from enclave_broker.errors import BadConfig, DuplicateTable, StorageFailure, TypeMismatch
 from enclave_broker.model import COLUMN_TYPES, DATE, INT, REAL, TEXT, date_to_days, days_to_date, normalize_date
 from enclave_broker.store import Table
 
+_FIELDS = ("seq", "timestamp", "actor", "kind", "payload", "prev_hash", "hash")
+
 
 def load_events(path) -> list[AuditEvent]:
     events = []
-    with open(path, encoding="utf-8") as fh:
+    # Lines end at "\n" only, as the ledger splits them; a "\r" between
+    # JSON tokens is whitespace, not a line end.
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line in fh:
             try:
                 obj = json.loads(line)
@@ -41,6 +48,21 @@ def load_events(path) -> list[AuditEvent]:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise StorageFailure(f"corrupt audit log {path}: {exc}") from None
     return events
+
+
+def open_head(path) -> tuple[int, str]:
+    count, last = 0, GENESIS
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise StorageFailure(f"corrupt audit log {path} line {lineno}: {exc}") from None
+            if not isinstance(obj, dict) or any(f not in obj for f in _FIELDS):
+                raise StorageFailure(f"corrupt audit log {path} line {lineno}: not an event with all seven fields")
+            count += 1
+            last = obj["hash"]
+    return count, last
 
 
 def check_cell(value, column_type: str, where: str = "cell"):

@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from enclave_broker import audit
@@ -26,7 +26,7 @@ from enclave_broker.audit import (
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_json
 from enclave_broker.errors import StorageFailure
-from reference_loaders import load_events
+from reference_loaders import load_events, open_head
 
 
 def fill(ledger: AuditLedger, n: int):
@@ -280,6 +280,7 @@ def test_re_serialized_genuine_line_is_bad(tmp_path, how):
     path = tmp_path / "audit.log"
     path.write_bytes(b"\n".join(lines) + b"\n")
     assert verify_file(path) == 3
+    assert _first_verify(path) == 3
 
 
 @pytest.mark.parametrize(
@@ -300,6 +301,7 @@ def test_self_consistent_line_that_is_not_one_event_is_bad(tmp_path, payload, ex
     with open(path, "ab") as fh:
         fh.write(_raw_hash_line(text) + b"\n")
     assert verify_file(path) == 3
+    assert _first_verify(path) == 3
 
 
 def test_the_cut_must_hold_the_hash_it_checks(ledger):
@@ -411,10 +413,11 @@ _MUTATIONS = st.one_of(
     ),
     st.tuples(st.just("append"), st.integers(1, 4)),
     st.tuples(st.just("torn"), st.just(1.0) | st.floats(0, 1, exclude_min=True)),
+    st.tuples(st.just("forge"), st.floats(0, 1, exclude_max=True)),
 )
 
 
-def _mutate(ledger: AuditLedger, path: Path, mutation) -> None:
+def _mutate(ledger: AuditLedger | None, path: Path, mutation) -> None:
     kind, *arg = mutation
     data = path.read_bytes()
     if kind == "flip":
@@ -427,12 +430,25 @@ def _mutate(ledger: AuditLedger, path: Path, mutation) -> None:
     elif kind == "insert":
         pos = int(arg[0] * len(data))
         path.write_bytes(data[:pos] + arg[1] + data[pos:])
+    elif kind == "forge":
+        lines = data.splitlines(keepends=True)
+        if not lines:
+            return
+        i = int(arg[0] * len(lines))
+        try:
+            lines[i] = _self_consistent_wrong_seq(lines[i])
+        except (ValueError, KeyError, TypeError, RecursionError):
+            return  # not an event to forge
+        path.write_bytes(b"".join(lines))
     elif kind == "garbage":
         path.write_bytes(data + arg[0] + b"\n")
     elif kind == "append":
-        fill(ledger, arg[0])
+        if ledger is None:  # no writer: lines of another chain
+            path.write_bytes(data + b"".join(_CHAIN[: arg[0]]))
+        else:
+            fill(ledger, arg[0])
     else:  # torn: some or all of a valid next line, with no newline
-        line = _next_line(ledger, {"torn": True})
+        line = _next_line(ledger, {"torn": True}) if ledger is not None else _CHAIN[0].rstrip(b"\n")
         path.write_bytes(data + line[: max(1, int(arg[0] * len(line)))])
 
 
@@ -457,7 +473,8 @@ def test_memoized_verify_matches_verify_file(n, mutations):
             ledger.close()
 
 
-def test_repeat_verify_checks_only_new_lines(tmp_path, monkeypatch):
+def _counted_checks(monkeypatch) -> list[int]:
+    """The position of each `_check_line` call from now on."""
     checked = []
     plain = audit._check_line
 
@@ -466,6 +483,11 @@ def test_repeat_verify_checks_only_new_lines(tmp_path, monkeypatch):
         return plain(raw, obj, position, prev_hash)
 
     monkeypatch.setattr(audit, "_check_line", counted)
+    return checked
+
+
+def test_repeat_verify_checks_only_new_lines(tmp_path, monkeypatch):
+    checked = _counted_checks(monkeypatch)
     path = tmp_path / "audit.log"
     ledger = AuditLedger(str(path))
     fill(ledger, 20)
@@ -613,6 +635,7 @@ def _chain_lines(n: int) -> list[bytes]:
 _CHAIN = _chain_lines(8)
 _OPEN_LINES = st.one_of(
     st.just("event"),
+    st.just("wrong-seq"),  # readable, all seven fields, but not at its position
     st.sampled_from((b"\n", b"  \n", b"\t\r\n", b"\r\n", "\u00a0\u2028\n".encode("utf-8"))),
     st.binary(max_size=12).filter(lambda b: b"\n" not in b).map(lambda b: b + b"\n"),
     st.sampled_from((b"[]\n", b"1\n", b"null\n", b'"seq"\n', b'{"seq": 0}\n', b"{\n", b"[" * 3000 + b"\n")),
@@ -627,18 +650,44 @@ def _open_outcome(open_fn, path, refusals):
         return "refused"
 
 
-@given(lines=st.lists(_OPEN_LINES, max_size=8), torn=st.none() | st.floats(0, 1, exclude_min=True))
-def test_open_matches_the_event_list_load(lines, torn):
+def _reopened(path) -> tuple[int, str]:
+    ledger = AuditLedger(str(path))
+    ledger.close()
+    return len(ledger), _last_hash(ledger)
+
+
+def _head_or_refusal(open_fn, path):
+    """The count and last hash, or the text of the StorageFailure."""
+    try:
+        return open_fn(path)
+    except StorageFailure as exc:
+        return str(exc)
+
+
+@example(lines=["event", "wrong-seq", b"{\n", "event"], torn=None, mutations=[])
+@example(lines=["event"], torn=None, mutations=[("insert", 1.5 / len(_CHAIN[0]), b"\r")])  # after the "{"
+@given(
+    lines=st.lists(_OPEN_LINES, max_size=8),
+    torn=st.none() | st.floats(0, 1, exclude_min=True),
+    mutations=st.lists(_MUTATIONS, max_size=2),
+)
+def test_open_matches_the_event_list_load(lines, torn, mutations):
     # Same count, last hash, or refusal as the load that kept every event,
-    # over blank, garbage and half-event lines and torn tails. The old
-    # load refused an undecodable line with UnicodeDecodeError, and JSON
-    # nested too deep with RecursionError; the open refuses both with
-    # StorageFailure, so any of these counts as a refusal.
+    # over blank, garbage and half-event lines, torn tails and mutated
+    # bytes. The old load refused an undecodable line with
+    # UnicodeDecodeError, and JSON nested too deep with RecursionError;
+    # the open refuses both with StorageFailure, so any of these counts
+    # as a refusal. Past the prefix the open found sound, a refusal
+    # keeps the old open's line number and text.
     events = iter(_CHAIN)
     data = b""
     for line in lines:
         if line == "event":
             data += next(events, _CHAIN[0])
+        elif line == "wrong-seq":
+            obj = json.loads(next(events, _CHAIN[0]))
+            obj["seq"] += 100
+            data += canonical_json(obj).encode("utf-8") + b"\n"
         elif isinstance(line, tuple):
             obj = json.loads(next(events, _CHAIN[0]))
             del obj[line[1]]
@@ -649,18 +698,124 @@ def test_open_matches_the_event_list_load(lines, torn):
         line = next(events, _CHAIN[0]).rstrip(b"\n")
         data += line[: max(1, int(torn * len(line)))]
 
-    def reopened(path):
-        ledger = AuditLedger(path)
-        ledger.close()
-        return len(ledger), _last_hash(ledger)
-
     def reference(path):
         events = load_events(path)
         return len(events), events[-1].hash if events else GENESIS
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "audit.log")
-        Path(path).write_bytes(data)
+        path = Path(tmp) / "audit.log"
+        path.write_bytes(data)
+        for mutation in mutations:
+            _mutate(None, path, mutation)
+        data = path.read_bytes()
         expected = _open_outcome(reference, path, (StorageFailure, UnicodeDecodeError, ValueError, RecursionError))
-        assert _open_outcome(reopened, path, StorageFailure) == expected
-        assert Path(path).read_bytes() == data
+        assert _open_outcome(_reopened, path, StorageFailure) == expected
+        assert _head_or_refusal(_reopened, path) == _head_or_refusal(open_head, path)
+        assert path.read_bytes() == data
+
+
+def _first_verify(path):
+    """The first `verify` of a ledger opened on `path`."""
+    ledger = AuditLedger(str(path))
+    try:
+        return ledger.verify()
+    finally:
+        ledger.close()
+
+
+@given(
+    n=st.integers(0, 8),
+    before=st.lists(_MUTATIONS, max_size=2),
+    after=st.lists(_MUTATIONS, max_size=2),
+)
+def test_the_open_and_its_first_verify_keep_the_full_rules(n, before, after):
+    # The open checks the structure of a sound prefix and the first
+    # verify only rehashes it. Mutated before the open, the file opens
+    # or is refused as by the open that checked nothing; mutated between
+    # the open and the first verify, every verify answers as verify_file.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.log"
+        writer = AuditLedger(str(path))
+        try:
+            fill(writer, n)
+            for mutation in before:
+                _mutate(writer, path, mutation)
+        finally:
+            writer.close()
+        expected = _head_or_refusal(open_head, path)
+        assert _head_or_refusal(_reopened, path) == expected
+        if isinstance(expected, str):
+            return
+        ledger = AuditLedger(str(path))
+        try:
+            for mutation in after:
+                _mutate(ledger, path, mutation)
+            assert ledger.verify() == verify_file(path), (before, after)
+            assert ledger.verify() == verify_file(path), (before, after)
+        finally:
+            ledger.close()
+
+
+def test_the_first_verify_after_a_clean_open_parses_no_line(tmp_path, monkeypatch):
+    path = make_file(tmp_path, 50)
+    checked = _counted_checks(monkeypatch)
+    ledger = AuditLedger(str(path))
+    try:
+        assert ledger.verify() is None
+        assert checked == []
+        fill(ledger, 2)
+        assert ledger.verify() is None
+        assert checked == [50, 51]
+    finally:
+        ledger.close()
+
+
+def test_a_sound_line_with_a_wrong_hash_in_the_opened_prefix_is_bad_at_its_seq(tmp_path):
+    # Line 3's payload changed and its stored hash kept: every line is
+    # still structurally sound, so the open's prefix holds all six, and
+    # only the first verify's rehash can find line 3.
+    path = make_file(tmp_path, 6)
+    lines = path.read_bytes().splitlines(keepends=True)
+    obj = json.loads(lines[3])
+    obj["payload"]["i"] = 999
+    lines[3] = canonical_json(obj).encode("utf-8") + b"\n"
+    path.write_bytes(b"".join(lines))
+    assert verify_file(path) == 3
+    ledger = AuditLedger(str(path))
+    try:
+        assert len(ledger) == 6
+        assert ledger.verify() == 3
+        assert ledger.verify() == 3
+    finally:
+        ledger.close()
+
+
+def _self_consistent_wrong_seq(raw: bytes) -> bytes:
+    """`raw` with its seq off by 100 and its hash recomputed over its own
+    cut bytes: the byte half of the rule holds, the structural one not."""
+    obj = json.loads(raw)
+    obj["seq"] += 100
+    del obj["hash"]
+    return _raw_hash_line(canonical_json(obj)) + b"\n"
+
+
+@pytest.mark.parametrize("change", ["payload-byte", "self-consistent-wrong-seq"])
+def test_a_line_changed_after_the_open_gets_verify_files_answer(tmp_path, change):
+    # The open's prefix no longer hashes to its digest, so the first
+    # verify drops it and checks every line in full.
+    path = make_file(tmp_path, 6)
+    ledger = AuditLedger(str(path))
+    try:
+        lines = path.read_bytes().splitlines(keepends=True)
+        if change == "payload-byte":
+            assert b'"i":2,' in lines[2]
+            lines[2] = lines[2].replace(b'"i":2,', b'"i":7,')
+        else:
+            lines[2] = _self_consistent_wrong_seq(lines[2])
+        with open(path, "r+b") as fh:  # in place, as a tamperer with write access would
+            fh.write(b"".join(lines))
+        assert verify_file(path) == 2
+        assert ledger.verify() == 2
+        assert ledger.verify() == 2
+    finally:
+        ledger.close()

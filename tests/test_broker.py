@@ -18,7 +18,16 @@ from enclave_broker.contracts import is_live
 from enclave_broker.enclave import CAUSE_BREAK_GLASS_AUTO, CAUSE_REVOCATION
 from enclave_broker.errors import BadConfig, StorageFailure
 
-from conftest import C1_TEXT, C1_SEGMENT_ROWS, ORDERS_ROWS, fold_transitions, live_grants, make_core
+from conftest import (
+    C1_SEGMENT_ROWS,
+    C1_TEXT,
+    ORDERS_ROWS,
+    ORDERS_SCHEMA,
+    fold_transitions,
+    live_grants,
+    make_core,
+    write_csv,
+)
 
 BG_TEMPLATE = """
 contract "bg-incident-42" {
@@ -516,6 +525,47 @@ def test_restart_never_resurrects_expired_access(tmp_path):
     assert third.contracts["c1"].status == "Expired"
     assert live_grants(third) == []
     third.close()
+
+
+# Projects two columns and filters on a third, `customer`, that it does not project.
+ACME_TEXT = """
+contract "c2" {
+  principal "svc-reporting"
+  purpose "acme order totals"
+  expires_in 3600s
+  grant {
+    source warehouse.orders
+    columns [order_id, amount]
+    where customer = "acme"
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "contract_text, dropped", [(C1_TEXT, "amount"), (ACME_TEXT, "customer")], ids=["projected", "predicate-only"]
+)
+def test_a_granted_column_the_table_lost_at_a_restart_is_unknown_column(tmp_path, contract_text, dropped):
+    # The contract validated against the table at submit; the restart
+    # loads a CSV without one of its columns.
+    core = make_core(tmp_path)
+    contract_id = ok(core, "submit_contract", {"text": contract_text})["contract_id"]
+    ok(core, "activate_contract", {"contract_id": contract_id})
+    core.close()
+    keep = [i for i, (col, _) in enumerate(ORDERS_SCHEMA) if col != dropped]
+    path = write_csv(
+        tmp_path,
+        "warehouse.orders",
+        [ORDERS_SCHEMA[i] for i in keep],
+        [[row[i] for i in keep] for row in ORDERS_ROWS],
+    )
+    reborn = make_core(tmp_path, tables={"warehouse.orders": path})
+    reply = call(reborn, "broker_enclave", {"contract_id": contract_id})
+    assert err_code(reply) == "UnknownColumn"
+    assert repr(dropped) in reply["error"]["message"]
+    [enclave] = reborn.enclaves.values()
+    assert enclave.state == "Revoked" and not enclave.segments
+    assert ok(reborn, "audit_verify")["verified"] is True
 
 
 def test_revocation_survives_restart(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_bytes
 from enclave_broker.contracts import Grant
-from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownSource
+from enclave_broker.errors import BadConfig, DuplicateTable, TypeMismatch, UnknownColumn, UnknownSource
 from enclave_broker.model import COLUMN_TYPES, DATE, INT, REAL, TEXT, Comparison, Literal, Predicate, date_to_days, days_to_date
 from enclave_broker.store import (
     ColumnOrders,
@@ -313,6 +313,11 @@ def test_extract_segment_matches_oracle(rows, columns, pred):
     with tempfile.TemporaryDirectory() as tmp:
         store = csv_table(tmp, "ns.t", _SCHEMA, rows)
     g = Grant("ns.t", columns, pred)
+    if pred is not None and "absent" in pred.columns():
+        # Queries match no row on such a column; a grant is refused.
+        with pytest.raises(UnknownColumn, match="'absent'"):
+            store.extract_segment("ns.t", g, 0)
+        return
     seg = store.extract_segment("ns.t", g, 0)
 
     wanted = list(_COLS) if columns is None else list(columns)
