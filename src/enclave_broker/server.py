@@ -60,6 +60,10 @@ class BrokerServer:
             os.unlink(self.endpoint)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._sock.bind(self.endpoint)
+        # Owner-only whatever the umask: a caller that can connect can
+        # activate a contract and get its principal's token. No client
+        # can connect before `listen`.
+        os.chmod(self.endpoint, 0o600)
         self._sock.listen(16)
         self._running = True
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)

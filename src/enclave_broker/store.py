@@ -12,10 +12,12 @@ scan or from a sorted order of one column that it builds once its scans
 have paid for it (`ColumnOrders`). A result is built from those
 positions (`Segment.select`), and it is never built as rows: each
 picked cell goes from the segment's row tuples straight into its
-canonical JSON (`_encode_columns`). Once a segment has sent its rows
-often enough in full-width results, it keeps every row's canonical JSON,
-encoded by the same cell encoders (`WireForm`), and later full-width
-results are spliced from that JSON by the positions.
+canonical JSON (`_encode_columns`). Once one projection's results have
+sent as many rows as the segment holds, the segment keeps every row's
+canonical JSON of that projection's columns, encoded by the same cell
+encoders (`WireForm`), and later results of that projection are spliced
+from that JSON by the positions. A segment keeps a bounded number of
+these forms (`Segment.select`).
 
 Tables come in one form, a CSV file (`load_table_csv`), and each cell
 is checked once: its column's converter turns its text into the stored
@@ -33,7 +35,7 @@ import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from json.encoder import encode_basestring
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -62,56 +64,68 @@ class Table:
 
 
 class WireForm:
-    """A segment's rows as canonical JSON, built at most once.
+    """One projection of a segment's rows as canonical JSON, built at most
+    once.
 
-    `buf` holds every row's encoding, joined by commas, and row i is
-    `buf[starts[i]:ends[i]]`, encoded by the cell encoders of every
-    other result (`_row_cells`). It costs about the encoded size plus 16
-    B per row, and building it costs about as much as encoding every row
-    once in a reply (1.2-1.4 times, measured). So it is built only once
-    the segment's full-width results have sent as many rows as the
-    segment holds (`sent`): the ski-rental rule, which buys once the
-    rent already paid equals the price. A segment queried too little to
-    repay the build never pays for it.
+    `buf` holds every row's encoding of the projection's columns, joined
+    by commas, encoded by the cell encoders of every other result
+    (`_row_cells`). `starts` holds the n+1 row starts, and row i is
+    `buf[starts[i]:starts[i+1]-1]`: the last start is one past the
+    buffer's end, as if a comma followed the last row too. The starts
+    are an `array('I')`, 4 B per row, while the buffer is under 4 GiB,
+    else an `array('q')`. So a form costs about its encoded size plus 4 B
+    per row. On the bench's 20k-row segments, building one took 1.2-1.3
+    times as long as encoding every row once in a reply for five or six
+    columns (23-25 ms), and 2-3 times for one or two (7-10 ms), where
+    each row's own bytes object is most of the work. It is built only
+    once the projection's results have sent as many rows as the segment
+    holds (`sent`): the ski-rental rule, which buys once the rent already
+    paid equals the price (Karlin et al., "Competitive Snoopy Caching",
+    1988). A projection queried too little to repay the build never
+    pays for it.
     """
 
-    __slots__ = ("sent", "buf", "starts", "ends")
+    __slots__ = ("sent", "buf", "starts")
 
     def __init__(self):
         self.sent = 0
         self.buf: bytes | None = None
 
-    def count_sent(self, rows: tuple[tuple, ...], column_types: Sequence[str], sent: int) -> None:
-        """Add `sent` rows of full-width results sent from `rows`; build
-        the wire form once the total reaches the number of rows."""
+    def count_sent(self, rows: tuple[tuple, ...], picks: Sequence[int], column_types: Sequence[str], sent: int) -> None:
+        """Add `sent` rows of `picks` results sent from `rows`; build the
+        wire form once the total reaches the number of rows."""
         self.sent += sent
         if self.sent < len(rows):
             return
         out, lengths = io.BytesIO(), array("q")
         for first in range(0, len(rows), _WIRE_STEP):
-            cells = _row_cells(rows[first : first + _WIRE_STEP], range(len(column_types)), column_types)
+            cells = _row_cells(rows[first : first + _WIRE_STEP], picks, column_types)
             parts = [f"[{row}]".encode("utf-8") for row in cells]
             if first:
                 out.write(b",")
             lengths.extend(map(len, parts))
             out.write(b",".join(parts))
-        # Row i ends after the lengths of rows 0..i and the i commas between them.
-        self.ends = array("q", map(operator.add, accumulate(lengths), count()))
-        self.starts = array("q", map(operator.sub, self.ends, lengths))
         self.buf = out.getvalue()
+        # Row i starts after rows 0..i-1 and the comma after each of them.
+        code = "I" if len(self.buf) + 1 < _STARTS_I_LIMIT else "q"
+        self.starts = array(code, accumulate(map(operator.add, lengths, repeat(1)), initial=0))
 
     def splice(self, hits: Sequence[int]) -> EncodedRows:
         """The encodings of the rows at positions `hits` (ascending): one
         slice of the buffer when the positions are contiguous, else the
-        rows' slices joined by commas. Either is a copy, so the result
-        keeps no part of the segment alive."""
+        rows' slices joined. Either is bytes, which refer to nothing, so
+        the result keeps no row, cell or segment alive (a result of every
+        row may be the buffer itself)."""
         if not hits:
             return EncodedRows(b"", 0)
-        first, last = hits[0], hits[-1]
+        starts, first, last = self.starts, hits[0], hits[-1]
         if last - first + 1 == len(hits):
-            return EncodedRows(self.buf[self.starts[first] : self.ends[last]], len(hits))
-        spans = map(slice, map(self.starts.__getitem__, hits), map(self.ends.__getitem__, hits))
-        return EncodedRows(b",".join(map(self.buf.__getitem__, spans)), len(hits))
+            return EncodedRows(self.buf[starts[first] : starts[last + 1] - 1], len(hits))
+        # Each row's slice runs to the next row's start, so it keeps the
+        # comma after it; only the buffer's last row has none to drop.
+        get = operator.itemgetter(*hits)
+        joined = b"".join(map(self.buf.__getitem__, map(slice, get(starts), get(memoryview(starts)[1:]))))
+        return EncodedRows(joined if joined.endswith(b"]") else joined[:-1], len(hits))
 
 
 class ColumnOrders:
@@ -267,9 +281,9 @@ class Segment:
     The segment is its own tuple of immutable row tuples and holds no
     store handle, so no later change to the source table can show up
     in it; it carries everything the gateway needs after provisioning.
-    Its `wire` form is a cache of those rows' encoding, and its `orders`
-    hold row positions only; neither is a second copy of the data the
-    gateway could read.
+    Its `wire` forms are caches of those rows' encoding, one per
+    projection, and its `orders` hold row positions only; neither is a
+    second copy of the data the gateway could read.
     """
 
     origin: str  # qualified source table name
@@ -277,7 +291,8 @@ class Segment:
     column_types: tuple[str, ...]
     rows: tuple[tuple, ...]
     extracted_at: int
-    wire: WireForm = field(default_factory=WireForm, init=False, repr=False, compare=False)
+    # projection's picks -> its wire form, built or still counting.
+    wire: dict[tuple[int, ...], WireForm] = field(default_factory=dict, init=False, repr=False, compare=False)
     orders: ColumnOrders = field(default_factory=ColumnOrders, init=False, repr=False, compare=False)
 
     def matches(self, terms: Terms, cap: int | None) -> tuple[Sequence[int], bool]:
@@ -293,16 +308,41 @@ class Segment:
         """The `picks` columns of the rows that meet `terms`, in order,
         cut to `cap` rows; and whether the cut dropped any.
 
-        The rows are encoded cell by cell (`_encode_columns`). Full-width
-        ones (every column in order) count toward building the wire form
-        until it exists, and from then on are spliced from it.
+        Each projection counts the rows its results send toward its own
+        wire form, and once that is built, its results are spliced from
+        it. Until then, and for a projection with no form, the rows are
+        encoded cell by cell (`_encode_columns`). Both give the same
+        bytes.
+
+        A segment holds at most `len(columns) + 1` forms, built or
+        counting (`_wire_form`). So its forms cost at most `len(columns)
+        + 1` times (the full-width form's encoded size plus 4 B per row),
+        since a projection without repeats encodes each row in no more
+        bytes than every column does.
         """
         hits, truncated = self.matches(terms, cap)
-        if picks == list(range(len(self.columns))):
-            if self.wire.buf is not None:
-                return self.wire.splice(hits), truncated
-            self.wire.count_sent(self.rows, self.column_types, len(hits))
+        form = self._wire_form(picks)
+        if form is not None and form.buf is None:
+            form.count_sent(self.rows, picks, self.column_types, len(hits))
+        if form is not None and form.buf is not None:
+            return form.splice(hits), truncated
         return _encode_columns(_rows_at(self.rows, hits), picks, self.column_types), truncated
+
+    def _wire_form(self, picks: list[int]) -> WireForm | None:
+        """The wire form of projection `picks`, made on its first use.
+
+        A projection that repeats a column gets none. The full-width one
+        (every column in order) always gets one, and the others share
+        `len(columns)` more, first come first served, so narrower
+        projections seen first never cost a full-width result its form.
+        """
+        key = tuple(picks)
+        form = self.wire.get(key)
+        if form is None and len(set(key)) == len(key):
+            full = tuple(range(len(self.columns)))
+            if key == full or len(self.wire) - (full in self.wire) < len(self.columns):
+                form = self.wire[key] = WireForm()
+        return form
 
 
 # The canonical JSON of one cell, per column type. Cells are checked at
@@ -312,6 +352,8 @@ class Segment:
 _CELL_JSON = {INT: int.__repr__, REAL: float.__repr__, TEXT: encode_basestring, DATE: encode_basestring}
 # Rows a `WireForm` build holds encoded apart from its buffer at once.
 _WIRE_STEP = 1024
+# The least row start an `array('I')` cannot hold: 4 GiB.
+_STARTS_I_LIMIT = 1 << 8 * array("I").itemsize
 
 
 def _row_cells(rows: Sequence[tuple], picks: Sequence[int], column_types: Sequence[str]) -> Iterator[str]:

@@ -610,19 +610,22 @@ def test_a_held_result_keeps_no_segment_data_and_outlives_the_wipe(tmp_path):
         ("SELECT amount, order_id, order_id FROM orders", [(r[2], r[0], r[0]) for r in ORDERS_ROWS]),
         ("SELECT * FROM orders WHERE order_id != 2", [r for r in ORDERS_ROWS if r[0] != 2]),
     ]
-    # A full-width answer taken before the wire form exists: 2 of 3 rows.
+    full = tuple(range(len(segment.columns)))
+    # A full-width answer taken before its wire form exists: 2 of 3 rows.
     held = [rows_of(statements[0][0])]
-    assert segment.wire.buf is None
+    assert segment.wire[full].buf is None
     # One full-width answer sends all 3 rows, which builds the wire form.
     rows_of("SELECT * FROM orders")
-    assert segment.wire.buf is not None
+    assert segment.wire[full].buf is not None
     held += [rows_of(text) for text, _ in statements[1:]]
+    # A projection that repeats a column never gets a form.
+    assert set(segment.wire) == {full}
     for rows in held:
         # The encoding and the count: no segment, row tuple, cell, or
-        # view into the segment's wire form.
+        # view into the segment's wire forms.
         refs = [o for o in gc.get_referents(rows) if o is not type(rows)]
         assert sorted(type(o).__name__ for o in refs) == ["bytes", "int"]
-        assert not any(o is segment.wire.buf for o in refs)
+        assert not any(o is form.buf for form in segment.wire.values() for o in refs)
 
     ok(core, "revoke_contract", {"contract_id": "wide"})
     assert core.enclaves[enclave_id].segments == {}

@@ -272,10 +272,13 @@ def _thousand_row_rig(tmp_path, grant=Grant("warehouse.orders", None)):
 def test_wire_form_is_built_once_full_width_results_sent_the_segment(tmp_path):
     gw, e, c, s = _thousand_row_rig(tmp_path)
     segment = e.segments[0]
+    full = (0, 1, 2, 3)
     for _ in range(50):
         gw.execute(s, e, c, "SELECT * FROM orders LIMIT 10", 0)
-    assert segment.wire.buf is None
-    # Projected and denied statements never count.
+    assert segment.wire[full].buf is None
+    # Each projection counts toward its own form, and denied statements
+    # count nothing: these two projections send the segment's 1000 rows
+    # each, which builds their forms but not the full-width one.
     for text in (
         "SELECT order_id FROM orders",
         "SELECT customer, order_id, amount, created_at FROM orders",
@@ -286,14 +289,17 @@ def test_wire_form_is_built_once_full_width_results_sent_the_segment(tmp_path):
             gw.execute(s, e, c, text, 0)
         except DenialError:
             pass
-    assert segment.wire.sent == 500
+    assert segment.wire[full].sent == 500
+    assert set(segment.wire) == {full, (0,), (1, 0, 2, 3)}
+    assert b"[" + segment.wire[(0,)].buf + b"]" == _oracle_json([[r[0]] for r in _THOUSAND_ROWS])
+    assert b"[" + segment.wire[(1, 0, 2, 3)].buf + b"]" == _oracle_json([[r[1], r[0], r[2], r[3]] for r in _THOUSAND_ROWS])
     # All columns in segment order is a full-width result too.
     gw.execute(s, e, c, "SELECT order_id, customer, amount, created_at FROM orders LIMIT 499", 0)
-    assert segment.wire.buf is None
+    assert segment.wire[full].buf is None
     unbuilt = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
-    assert segment.wire.sent == 1000
-    assert segment.wire.buf is not None
-    assert b"[" + segment.wire.buf + b"]" == _oracle_json(_THOUSAND_ROWS)
+    assert segment.wire[full].sent == 1000
+    assert segment.wire[full].buf is not None
+    assert b"[" + segment.wire[full].buf + b"]" == _oracle_json(_THOUSAND_ROWS)
     # Served from the wire form now: the same bytes as the cell encoders'.
     built = gw.execute(s, e, c, "SELECT * FROM orders WHERE amount >= 50 LIMIT 1", 0)
     assert built == unbuilt
@@ -306,8 +312,10 @@ def test_wire_form_is_built_once_full_width_results_sent_the_segment(tmp_path):
 def test_wire_form_answers_match_the_scan_path(tmp_path):
     gw, e, c, s = _thousand_row_rig(tmp_path)
     # (statement, the rows it keeps, its LIMIT), answered over the source rows.
+    # The first seven send 927 rows in all, so each projection's first
+    # pass encodes them cell by cell; the last sends all 1000, which
+    # builds that projection's form.
     statements = [
-        ("SELECT * FROM orders", lambda r: True, None),
         ("SELECT * FROM orders WHERE amount > 500", lambda r: r[2] > 500, None),
         ("SELECT * FROM orders WHERE amount = 5", lambda r: r[2] == 5, None),
         ("SELECT * FROM orders WHERE amount > 90 LIMIT 30", lambda r: r[2] > 90, 30),
@@ -315,17 +323,33 @@ def test_wire_form_answers_match_the_scan_path(tmp_path):
         ("SELECT * FROM orders WHERE order_id >= 990 LIMIT 10", lambda r: r[0] >= 990, 10),
         ('SELECT * FROM orders WHERE customer = "globex"', lambda r: r[1] == "globex", None),
         ("SELECT * FROM orders WHERE created_at >= 2025-01-01", lambda r: r[3] >= "2025-01-01", None),
+        ("SELECT * FROM orders", lambda r: True, None),
     ]
-    before = [gw.execute(s, e, c, text, 0) for text, _, _ in statements]
-    assert e.segments[0].wire.buf is not None
-    after = [gw.execute(s, e, c, text, 0) for text, _, _ in statements]
+    # (select list, its columns, their segment positions): the same
+    # statements full width, and cut to one and to two reordered columns.
+    projections = [
+        ("*", _THOUSAND_COLUMNS, (0, 1, 2, 3)),
+        ("customer", ("customer",), (1,)),
+        ("amount, order_id", ("amount", "order_id"), (2, 0)),
+    ]
+
+    def run():
+        return [
+            gw.execute(s, e, c, text.replace("*", listed), 0) for listed, _, _ in projections for text, _, _ in statements
+        ]
+
+    before = run()
+    assert all(e.segments[0].wire[picks].buf is not None for _, _, picks in projections)
+    after = run()
     assert after == before
     assert [r.rows.wire for r in after] == [r.rows.wire for r in before]
-    for (text, keep, limit), result in zip(statements, after):
-        assert isinstance(result.rows, EncodedRows)
-        matched = [r for r in _THOUSAND_ROWS if keep(r)]
-        cap = len(matched) if limit is None else limit
-        assert _reply(result) == _oracle_reply(_THOUSAND_COLUMNS, matched[:cap], len(matched) > cap), text
+    results = iter(after)
+    for _, columns, picks in projections:
+        for (text, keep, limit), result in zip(statements, results):
+            assert isinstance(result.rows, EncodedRows)
+            matched = [tuple(r[i] for i in picks) for r in _THOUSAND_ROWS if keep(r)]
+            cap = len(matched) if limit is None else limit
+            assert _reply(result) == _oracle_reply(columns, matched[:cap], len(matched) > cap), text
 
 
 def _built(e, column: str) -> bool:

@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import socket
+import stat
 import threading
 
 import pytest
@@ -291,6 +292,24 @@ def test_stop_removes_socket_and_start_reclaims_stale(tmp_path):
         second.stop()
 
 
+def test_the_socket_is_owner_only_under_any_umask(tmp_path):
+    path = str(tmp_path / "mode.sock")
+    core = make_core(tmp_path)
+    # Under umask 0, bind alone would leave the socket 0o777: any local
+    # user could connect.
+    old = os.umask(0)
+    try:
+        srv = BrokerServer(core, path).start()
+    finally:
+        os.umask(old)
+    try:
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+        with Conn(path) as conn:
+            assert conn.call("sweep")["ok"]
+    finally:
+        srv.stop()
+
+
 _HOSTILE = ("],[", '"q"', "back\\slash", "ctl\x01\x1f\t\n\r\x7f", "héllo", "日本", "\U0001f600", " ", "plain")
 _HOSTILE_ROWS = [
     (i, _HOSTILE[i % len(_HOSTILE)], (-1) ** i * i * 0.5, days_to_date(19000 + i % 7)) for i in range(60)
@@ -344,9 +363,11 @@ def test_spliced_replies_are_the_canonical_bytes(tmp_path):
             enclave_id = conn.call("broker_enclave", {"contract_id": "ch"})["result"]["enclave_id"]
             session_id = conn.call("open_session", {"enclave_id": enclave_id}, token=token)["result"]["session_id"]
             raw = conn.sock.makefile("rb")
-            # Four rounds: the full-width answers send the segment's 60
-            # rows within the first round, so later rounds are spliced.
-            for _ in range(4):
+            # Ten rounds: the full-width answers send the segment's 60
+            # rows within the first round, `d` within the third and
+            # `label, id` within the ninth, so later rounds of each are
+            # spliced from its own form.
+            for _ in range(10):
                 for text, columns, keep, limit in _HOSTILE_STATEMENTS:
                     conn.n += 1
                     request = {"op": "query", "id": conn.n, "args": {"session_id": session_id, "text": text}}
@@ -354,7 +375,9 @@ def test_spliced_replies_are_the_canonical_bytes(tmp_path):
                     want = {"id": conn.n, "ok": True, "result": _oracle(columns, keep, limit)}
                     assert raw.readline() == canonical_json(want).encode("utf-8") + b"\n", text
             raw.close()
-        assert core.enclaves[enclave_id].segments[0].wire.buf is not None
+        forms = core.enclaves[enclave_id].segments[0].wire
+        assert set(forms) == {(0, 1, 2, 3), (1, 0), (3,)}
+        assert all(form.buf is not None for form in forms.values())
     finally:
         srv.stop()
 

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import csv
+import operator
 import re
 import tempfile
 from array import array
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from enclave_broker import store
 from enclave_broker.broker import BrokerConfig, BrokerCore
 from enclave_broker.canonical import canonical_bytes
 from enclave_broker.contracts import Grant
@@ -451,36 +454,126 @@ def _typed_rows(draw):
     return types, tuple(rows)
 
 
+def _projections(width: int):
+    """Picks of `width` columns: any subset, in any order, no column twice."""
+    return st.permutations(range(width)).flatmap(lambda p: st.integers(0, width).map(lambda k: list(p[:k])))
+
+
 @given(_typed_rows(), st.data())
 def test_wire_form_splices_the_canonical_encoding_of_any_positions(typed, data):
     types, rows = typed
     segment = Segment("ns.t", tuple(f"c{i}" for i in range(len(types))), types, rows, 0)
-    # A full-width result of every row, encoded cell by cell, builds the
-    # wire form, which holds the same bytes.
-    encoded, _ = segment.select(list(range(len(types))), (), None)
-    wire = segment.wire
-    assert b"[" + wire.buf + b"]" == canonical_bytes(rows)
+    picks = data.draw(_projections(len(types)))
+    projected = [tuple(row[i] for i in picks) for row in rows]
+    # A result of every row, encoded cell by cell, builds its
+    # projection's wire form, which holds the same bytes.
+    encoded, _ = segment.select(picks, (), None)
+    wire = segment.wire[tuple(picks)]
+    assert b"[" + wire.buf + b"]" == canonical_bytes(projected)
     assert encoded.wire == wire.buf
     hits = sorted(data.draw(st.sets(st.integers(0, max(0, len(rows) - 1)), max_size=len(rows))))
     for picked in (hits, range(len(rows)), range(len(rows) // 2, len(rows))):
         spliced = wire.splice(picked)
-        assert spliced == tuple(rows[i] for i in picked)
-        assert b"[" + bytes(spliced.wire) + b"]" == canonical_bytes([rows[i] for i in picked])
+        assert spliced == tuple(projected[i] for i in picked)
+        assert b"[" + bytes(spliced.wire) + b"]" == canonical_bytes([projected[i] for i in picked])
 
 
-def test_wire_form_across_build_steps():
+def _row_slices(wire: WireForm) -> list[bytes]:
+    """Each row's bytes by the documented rule: `buf[starts[i]:starts[i+1]-1]`."""
+    return [wire.buf[start : end - 1] for start, end in zip(wire.starts, wire.starts[1:])]
+
+
+def test_wire_form_across_build_steps(monkeypatch):
     # More rows than one build step, so steps join with a comma too.
     types = (INT, TEXT, REAL, DATE)
     rows = tuple((i, "é" * (i % 3), i / 7, days_to_date(19000 + i % 50)) for i in range(2500))
-    wire = WireForm()
-    wire.count_sent(rows, types, len(rows) - 1)
-    assert wire.buf is None
-    wire.count_sent(rows, types, 1)
-    assert b"[" + wire.buf + b"]" == canonical_bytes(rows)
-    assert [wire.buf[s:e] for s, e in zip(wire.starts, wire.ends)] == [canonical_bytes(row) for row in rows]
+    for picks in ((0, 1, 2, 3), (3, 1)):
+        projected = [tuple(row[i] for i in picks) for row in rows]
+        wire = WireForm()
+        wire.count_sent(rows, picks, types, len(rows) - 1)
+        assert wire.buf is None
+        wire.count_sent(rows, picks, types, 1)
+        assert b"[" + wire.buf + b"]" == canonical_bytes(projected)
+        assert _row_slices(wire) == [canonical_bytes(row) for row in projected]
+        # 4 B per row start, and one start past the buffer's end.
+        assert (wire.starts.typecode, wire.starts.itemsize, len(wire.starts)) == ("I", 4, len(rows) + 1)
+        assert wire.starts[-1] == len(wire.buf) + 1
+    # A buffer whose last start an array('I') cannot hold gets 8 B starts.
+    monkeypatch.setattr(store, "_STARTS_I_LIMIT", len(wire.buf) + 1)
+    wide = WireForm()
+    wide.count_sent(rows, picks, types, len(rows))
+    assert (wide.buf, wide.starts.typecode, list(wide.starts)) == (wire.buf, "q", list(wire.starts))
+    assert wide.splice([0, 7, 2499]) == wire.splice([0, 7, 2499]) == tuple(projected[i] for i in (0, 7, 2499))
     empty = WireForm()
-    empty.count_sent((), types, 0)
-    assert (empty.buf, empty.starts, empty.ends) == (b"", array("q"), array("q"))
+    empty.count_sent((), picks, types, 0)
+    assert (empty.buf, empty.starts) == (b"", array("I", [0]))
+
+
+def _in(cell, wanted) -> bool:
+    return cell in wanted
+
+
+def _hit_sets(n: int):
+    """(terms on a row's position, cap) whose hits are empty, contiguous,
+    scattered, or the `range` that a statement with no terms gets."""
+    everything = st.tuples(st.just(()), st.none() | st.integers(0, n + 1))
+    if not n:
+        return everything
+    positions = st.integers(0, n - 1)
+    empty = st.just(((0, _in, frozenset()), None))
+    contiguous = st.tuples(positions, positions).map(lambda ab: ((0, _in, frozenset(range(min(ab), max(ab) + 1))), None))
+    sets = st.sets(positions, min_size=min(2, n))
+    scattered = sets.map(lambda hits: ((0, _in, frozenset(hits)), None))
+    return everything | empty | contiguous | scattered
+
+
+@given(_typed_rows(), st.data())
+def test_select_bytes_match_the_oracle_before_and_after_each_build(typed, data):
+    types, rows = typed
+    # A leading position column, which the drawn terms test.
+    types, rows = (INT, *types), tuple((i, *row) for i, row in enumerate(rows))
+    segment = Segment("ns.t", tuple(f"c{i}" for i in range(len(types))), types, rows, 0)
+    plans = data.draw(st.lists(st.tuples(_projections(len(types)), _hit_sets(len(rows))), min_size=1, max_size=6))
+
+    def check(picks, term, cap):
+        terms = (term,) if term else ()
+        encoded, truncated = segment.select(picks, terms, cap)
+        kept = [row for row in rows if all(op(row[i], value) for i, op, value in terms)]
+        n = len(kept) if cap is None else min(cap, len(kept))
+        assert b"[" + encoded.wire + b"]" == canonical_bytes([[row[i] for i in picks] for row in kept[:n]])
+        assert (len(encoded), truncated) == (n, n < len(kept))
+
+    for picks, (term, cap) in plans:
+        check(picks, term, cap)
+    # A result of every row builds each form the segment holds; a
+    # projection past the bound has none and is encoded cell by cell.
+    for picks, _ in plans:
+        check(picks, (), None)
+    assert len(segment.wire) <= len(segment.columns) + 1
+    assert all(form.buf is not None for form in segment.wire.values())
+    for picks, (term, cap) in plans:
+        check(picks, term, cap)
+
+
+def test_forms_and_counters_stay_within_the_bound():
+    types = (INT, TEXT, REAL, DATE)
+    rows = tuple((i, f"r{i % 5}", i / 4, days_to_date(19000 + i % 30)) for i in range(40))
+    segment = Segment("ns.t", ("a", "b", "c", "d"), types, rows, 0)
+    projections = [list(p) for k in (1, 2, 3) for p in permutations(range(4), k)]
+    projections += [[0, 0], [1, 2, 1], [3, 3, 3, 3], [0, 1, 2, 3, 0], [0, 1, 2, 3]]
+    for _ in range(3):
+        for picks in projections:
+            for terms, cap in (((), None), (((0, operator.ge, 30),), 4), (((1, operator.eq, "r2"),), None)):
+                encoded, _ = segment.select(picks, terms, cap)
+                kept = [row for row in rows if all(op(row[i], value) for i, op, value in terms)][:cap]
+                assert b"[" + encoded.wire + b"]" == canonical_bytes([[row[i] for i in picks] for row in kept])
+                # At most len(columns) + 1 forms, none for a repeated column.
+                assert len(segment.wire) <= len(segment.columns) + 1
+                assert all(len(set(key)) == len(key) for key in segment.wire)
+    # The first four projections took the shared entries, the full-width
+    # one, seen last, still got its own, and each built its form.
+    assert list(segment.wire) == [(0,), (1,), (2,), (3,), (0, 1, 2, 3)]
+    assert all(form.buf is not None for form in segment.wire.values())
 
 
 def test_scan_positions_agrees_with_scan():
