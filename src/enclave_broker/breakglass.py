@@ -45,6 +45,7 @@ class BreakGlassRequest:
     approvals: list[str] = field(default_factory=list)
     status: str = PENDING
     activated_contract_id: str | None = None
+    rank: int = 0  # place in request order
 
 
 Record = Callable[[BreakGlassRequest], None]
@@ -68,6 +69,8 @@ class BreakGlassService:
         self.activation_window = activation_window
         self.accounts: dict[str, str] = {}
         self.requests: dict[str, BreakGlassRequest] = {}
+        # The Activated requests, in request order: all the sweep reads.
+        self.activated: dict[str, BreakGlassRequest] = {}
 
     def register_account(self, account_id: str):
         self.accounts[account_id] = account_id
@@ -99,6 +102,7 @@ class BreakGlassService:
             template=replace(template, origin=ORIGIN_BREAK_GLASS),
             quorum=self.quorum,
             activation_window=self.activation_window,
+            rank=len(self.requests),
         )
         record(req)
         self.requests[req.request_id] = req
@@ -137,6 +141,9 @@ class BreakGlassService:
         req = self._get(request_id)
         req.status = ACTIVATED
         req.activated_contract_id = contract_id
+        # An activation can overtake an earlier request: sort it back.
+        self.activated[request_id] = req
+        self.activated = dict(sorted(self.activated.items(), key=lambda item: item[1].rank))
 
     def deny(self, request_id: str, record: Record) -> BreakGlassRequest:
         req = self._get(request_id)
@@ -148,14 +155,14 @@ class BreakGlassService:
 
     def sweep(self, now: int, contract_is_live, record: Record) -> list[BreakGlassRequest]:
         """Auto-revoke every Activated request whose contract is no longer
-        live, each only once its own `record` has returned."""
+        live, in request order, each only once its own `record` has
+        returned. Reads `activated` only, not every request ever made."""
         revoked = []
-        for req in self.requests.values():
-            if req.status != ACTIVATED:
-                continue
+        for req in list(self.activated.values()):
             if not contract_is_live(req.activated_contract_id, now):
                 record(req)
                 req.status = AUTO_REVOKED
+                del self.activated[req.request_id]
                 revoked.append(req)
         return revoked
 

@@ -9,12 +9,15 @@ happens until time moves and someone sweeps.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 import secrets
 import threading
 import urllib.parse
 from dataclasses import dataclass, field, replace
+from itertools import count
+from operator import itemgetter
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -25,7 +28,7 @@ from .audit import AuditEvent, AuditLedger
 from .breakglass import BreakGlassService
 from .canonical import canonical_bytes
 from .clock import LOGICAL, WALL, LogicalClock, WallClock
-from .contracts import ACTIVE, DataContract, canonical_encode, is_live, validate_contract
+from .contracts import ACTIVE, REVOKED, DataContract, canonical_encode, is_live, validate_contract
 from .errors import (
     BadConfig,
     BadToken,
@@ -88,7 +91,26 @@ class BrokerConfig:
 
 
 class BrokerCore:
-    """All broker state and every protocol op, minus the socket."""
+    """All broker state and every protocol op, minus the socket.
+
+    `contracts` and `enclaves` keep every contract and enclave this
+    process has held, in registration and creation order. The sweep and
+    `revoke_contract` read three indexes instead, so each costs what is
+    due, not what was ever made:
+
+    - `_deadlines`: a heap of `(activated_at + ttl, rank, contract_id)`,
+      with `rank` the contract's place in registration order. An entry
+      is pushed each time a contract becomes Active, so every Active
+      contract has exactly one. An entry whose contract is no longer
+      Active is stale: it was revoked or already expired, and the sweep
+      skips it when it pops it.
+    - `_open`: contract id -> {enclave id: (creation rank, enclave)} of
+      the contract's enclaves not yet Expired or Revoked, in creation
+      order. A contract with no open enclave has no entry.
+    - `_dead`: the contracts that are Revoked or Expired and still have
+      an open enclave, which the sweep shuts: those a sweep has just
+      expired, and those whose shutdown the ledger refused.
+    """
 
     def __init__(self, config: BrokerConfig):
         if config.clock_mode not in (WALL, LOGICAL):
@@ -116,6 +138,12 @@ class BrokerCore:
         self.contracts: dict[str, DataContract] = {}
         self.enclaves: dict[str, enclave_mod.EnclaveInstance] = {}
         self.tokens: dict[str, str] = {}  # principal -> bearer token
+        self._rank: dict[str, int] = {}  # contract id -> place in registration order
+        self._deadlines: list[tuple[int, int, str]] = []
+        self._latest_activation = 0  # the latest activated_at of any contract held
+        self._open: dict[str, dict[str, tuple[int, enclave_mod.EnclaveInstance]]] = {}
+        self._born = count()  # enclave creation ranks
+        self._dead: set[str] = set()
         self._load_contracts()
 
     # ---------------- persistence ----------------
@@ -134,16 +162,26 @@ class BrokerCore:
         safe = urllib.parse.quote(contract_id, safe="")
         return self._contracts_dir / f"{safe}.json"
 
+    def _hold(self, c: DataContract):
+        """Hold `c` in `contracts` and in the sweep's indexes."""
+        contract_id = c.contract_id
+        rank = self._rank.setdefault(contract_id, len(self._rank))
+        self.contracts[contract_id] = c
+        if c.status == ACTIVE:
+            heapq.heappush(self._deadlines, (c.activated_at + c.ttl, rank, contract_id))
+            self._latest_activation = max(self._latest_activation, c.activated_at)
+        elif contract_id in self._open:  # Revoked or Expired with an enclave open
+            self._dead.add(contract_id)
+
     def _save_contract(self, c: DataContract):
         """Hold `c` and write its file. A failed write answers
         StorageFailure; memory keeps `c`, as the ledger already does."""
-        self.contracts[c.contract_id] = c
+        self._hold(c)
         _write_file(self._contract_path(c.contract_id), canonical_encode(c))
 
     def _load_contracts(self):
         for path in sorted(self._contracts_dir.glob("*.json")):
-            c = DataContract.from_json(json.loads(path.read_text(encoding="utf-8")))
-            self.contracts[c.contract_id] = c
+            self._hold(DataContract.from_json(json.loads(path.read_text(encoding="utf-8"))))
 
     # ---------------- lookups ----------------
 
@@ -184,7 +222,12 @@ class BrokerCore:
 
     def _record_transition(self, e: enclave_mod.EnclaveInstance, from_state, to_state, cause) -> None:
         """The `record` of every enclave transition: the enclave module
-        makes a transition only once this has appended its event."""
+        makes a transition only once this has appended its event.
+
+        So `_open` is kept here, once the append has returned: a defined
+        enclave joins its contract's entry, and one bound for Expired or
+        Revoked leaves it. An entry left empty is deleted, and its
+        contract leaves `_dead`."""
         self.emit(
             "broker",
             audit_mod.ENCLAVE_TRANSITION,
@@ -196,6 +239,15 @@ class BrokerCore:
                 "cause": cause,
             },
         )
+        contract_id = e.contract_id
+        if from_state is None:
+            self._open.setdefault(contract_id, {})[e.enclave_id] = (next(self._born), e)
+        elif to_state in enclave_mod.TERMINAL:
+            open_ = self._open[contract_id]
+            del open_[e.enclave_id]
+            if not open_:
+                del self._open[contract_id]
+                self._dead.discard(contract_id)
 
     # ---------------- contract ops ----------------
 
@@ -238,7 +290,7 @@ class BrokerCore:
         # A Revoked contract with an enclave still open is one whose
         # shutdown the ledger refused: a repeat revoke finishes it and
         # records no second revocation.
-        if c.status != contracts_mod.REVOKED or not self._open_enclaves(contract_id):
+        if c.status != REVOKED or contract_id not in self._open:
             c = contracts_mod.revoke(c)
             self.emit(
                 "operator",
@@ -264,12 +316,9 @@ class BrokerCore:
         revoke or the next sweep makes it."""
         enclave_mod.expire_or_revoke(e, cause, self._record_transition)
 
-    def _open_enclaves(self, contract_id: str) -> list[enclave_mod.EnclaveInstance]:
-        terminal = enclave_mod.TERMINAL
-        return [e for e in self.enclaves.values() if e.contract_id == contract_id and e.state not in terminal]
-
     def _shut_enclaves_for(self, contract_id: str, cause: str) -> list[str]:
-        hit = self._open_enclaves(contract_id)
+        """Shut the open enclaves of one contract, in creation order."""
+        hit = [e for _, e in self._open.get(contract_id, {}).values()]
         for e in hit:
             self._shut(e, cause)
         return [e.enclave_id for e in hit]
@@ -426,7 +475,15 @@ class BrokerCore:
         """Lazy expiry: retire everything whose time has passed.
 
         Break-glass teardown runs first so its enclaves carry the
-        BreakGlassAuto cause rather than plain Expiry.
+        BreakGlassAuto cause rather than plain Expiry. Then the Active
+        contracts that are no longer live expire, in registration order:
+        the due entries popped from `_deadlines`, plus, only while the
+        clock reads before the latest activation, the contracts
+        activated after now. Then the open enclaves of the contracts in
+        `_dead` shut, in creation order. A refused append answers
+        StorageFailure; what the sweep retired before it stays retired,
+        and each popped entry whose contract is still Active goes back
+        on the heap for the next sweep.
         """
         now = self.clock.now()
         expired_contracts: list[str] = []
@@ -453,22 +510,42 @@ class BrokerCore:
 
         for req in self.break_glass.sweep(now, contract_live, revoke):
             auto_revoked.append(req.request_id)
-        for c in list(self.contracts.values()):
-            if c.status == ACTIVE and not is_live(c, now):
-                self._expire_contract(c)
-                expired_contracts.append(c.contract_id)
-        for e in self.enclaves.values():
-            if e.state in enclave_mod.TERMINAL:
-                continue
-            c = self.contracts.get(e.contract_id)
-            if c is None or not is_live(c, now):
-                cause = (
-                    enclave_mod.CAUSE_REVOCATION
-                    if c is not None and c.status == contracts_mod.REVOKED
-                    else enclave_mod.CAUSE_EXPIRY
-                )
-                self._shut(e, cause)
-                expired_enclaves.append(e.enclave_id)
+
+        contracts, heap, popped = self.contracts, self._deadlines, []
+        while heap and heap[0][0] <= now:
+            entry = heapq.heappop(heap)
+            if contracts[entry[2]].status == ACTIVE:
+                popped.append(entry)
+        due = popped
+        if now < self._latest_activation:
+            # The clock reads before an activation (a wall clock set
+            # back, or a restart from a clock.json whose last write
+            # failed), and a contract is not live before it is
+            # activated. Those entries stay on the heap.
+            due = popped + [
+                entry
+                for entry in heap
+                if contracts[entry[2]].status == ACTIVE and now < contracts[entry[2]].activated_at
+            ]
+        due.sort(key=itemgetter(1))
+        try:
+            for entry in due:
+                self._expire_contract(contracts[entry[2]])
+                expired_contracts.append(entry[2])
+        finally:
+            for entry in popped:
+                if contracts[entry[2]].status == ACTIVE:
+                    heapq.heappush(heap, entry)
+
+        shut = sorted((held for dead in self._dead for held in self._open[dead].values()), key=itemgetter(0))
+        for _, e in shut:
+            cause = (
+                enclave_mod.CAUSE_REVOCATION
+                if contracts[e.contract_id].status == REVOKED
+                else enclave_mod.CAUSE_EXPIRY
+            )
+            self._shut(e, cause)
+            expired_enclaves.append(e.enclave_id)
         return {
             "expired": expired_contracts,
             "expired_enclaves": expired_enclaves,
